@@ -336,9 +336,19 @@ func (s *Stack) parallelSafe(n int) bool {
 //     cache, a pure performance shortcut);
 //   - when the stack has a JIT, each running CPU switches from the
 //     whole-stack engine (whose walk and chain state span all cores) to
-//     its persistent per-vCPU shard engine — see jitshard.go.
+//     its persistent per-vCPU shard engine — see jitshard.go;
+//   - every VM's Stage-2 tables are built up front: the lazy build in
+//     vmVTTBR mutates the VM and allocates memory, so two vCPUs of one
+//     VM reaching it in the same parallel epoch would race.
 func (s *Stack) smpSetup(n int) func() {
 	m := s.M
+	for _, h := range s.hyps() {
+		for _, vm := range h.VMs {
+			if vm.s2 == nil {
+				h.initVMS2(vm)
+			}
+		}
+	}
 	parent := m.Trace
 	shards := make([]*trace.Collector, n)
 	oldS2 := make([]arm.Stage2, n)

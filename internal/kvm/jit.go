@@ -153,9 +153,11 @@ func walkTables(w *jit.W, t *mmu.Tables) {
 
 func (src *stackSource) walkVM(w *jit.W, vm *VM) {
 	// vmid, gicShadowOwn, and gicShadow are excluded: they are assigned
-	// exactly once when the VM is created (initVMS2) and never change for
-	// a live *VM, and a recording that creates a VM cannot promote (the
-	// new VM changes the walk's shape-word count). Checkpoint restore
+	// exactly once, when the VM's Stage-2 tables are built (initVMS2: at
+	// attach for a nested VM; for the host's VM at its first entry or,
+	// ahead of any SMP run, in smpSetup), and never change for a live *VM
+	// afterwards. A recording that builds the tables cannot promote (the
+	// new tables change the walk's shape word). Checkpoint restore
 	// rewrites them but also resets the engine.
 	var tmp uint64
 	walkTables(w, vm.s2)
