@@ -7,7 +7,7 @@
 GO ?= go
 EXAMPLES := quickstart virtecho nestedboot recursive memcached
 
-.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke profile
+.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke perfbench-test ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke profile
 
 FUZZ_TARGETS := FuzzDifferentialNVvsNEVE FuzzFaultPlanRecovery FuzzParsePlan
 FUZZTIME ?= 10s
@@ -50,7 +50,13 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./internal/fault/ || exit 1; \
 	done
 
-ci: vet fmt-check race examples-smoke fuzz-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke
+ci: vet fmt-check race examples-smoke fuzz-smoke perfbench-test bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke
+
+# The benchmark module (perfbench/, its own go.mod) is outside the root
+# module, so `go test ./...` above skips it: run its per-cell digest
+# checks here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Fleet orchestrator gate: a small sweep across 2 worker processes with
 # a crash injected mid-sweep (worker 0 dies holding its 2nd cell, is

@@ -1,85 +1,35 @@
 package arm
 
-import (
-	"github.com/nevesim/neve/internal/mem"
-	"github.com/nevesim/neve/internal/wire"
-)
+import "github.com/nevesim/neve/internal/wire"
 
-// Durable serialization of CPU checkpoints. Every data field of
-// CPUCheckpoint round-trips; the VIRQ sink is wiring (a pointer into the
-// owning stack's guest context) and is deliberately left alone — decoders
-// start from a checkpoint taken off the live core, so the live wiring is
-// preserved and only the data fields are overwritten.
-
-// EncodeTo appends the checkpoint's canonical binary form to w.
-func (cp *CPUCheckpoint) EncodeTo(w *wire.Writer) {
-	w.U8(uint8(cp.el))
-	w.Int(int(cp.level))
-	w.Int(int(cp.guestLevel))
-	for _, v := range cp.regs {
-		w.U64(v)
-	}
-	w.U64(cp.cycles)
-	for _, v := range cp.levelCycles {
-		w.U64(v)
-	}
-	w.U64(cp.lastAttributed)
-	w.U64(cp.nv2Val)
-	w.Len(len(cp.pendingIRQ))
-	for _, irq := range cp.pendingIRQ {
-		w.Int(irq)
-	}
-	w.Bool(cp.irqMasked)
-	w.Bool(cp.inVIRQ)
+// Wire walks every data field of the checkpoint. The VIRQ sink is wiring
+// (a pointer into the owning stack's guest context) and is deliberately
+// left alone: decoders start from a checkpoint taken off the live core,
+// so the live wiring is preserved and only the data fields are
+// overwritten.
+func (cp *CPUCheckpoint) Wire(c *wire.Codec) {
+	wire.U8(c, &cp.el)
+	wire.Int(c, &cp.level)
+	wire.Int(c, &cp.guestLevel)
+	wire.Words(c, cp.regs[:])
+	wire.U64(c, &cp.cycles)
+	wire.Words(c, cp.levelCycles[:])
+	wire.U64(c, &cp.lastAttributed)
+	wire.U64(c, &cp.nv2Val)
+	wire.Slice(c, &cp.pendingIRQ, wire.Int)
+	wire.Bool(c, &cp.irqMasked)
+	wire.Bool(c, &cp.inVIRQ)
 }
 
-// DecodeFrom overwrites the checkpoint's data fields from r, leaving the
-// VIRQ wiring untouched.
-func (cp *CPUCheckpoint) DecodeFrom(r *wire.Reader) {
-	cp.el = EL(r.U8())
-	cp.level = VLevel(r.Int())
-	cp.guestLevel = VLevel(r.Int())
-	for i := range cp.regs {
-		cp.regs[i] = r.U64()
-	}
-	cp.cycles = r.U64()
-	for i := range cp.levelCycles {
-		cp.levelCycles[i] = r.U64()
-	}
-	cp.lastAttributed = r.U64()
-	cp.nv2Val = r.U64()
-	n := r.Len()
-	cp.pendingIRQ = cp.pendingIRQ[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.pendingIRQ = append(cp.pendingIRQ, r.Int())
-	}
-	cp.irqMasked = r.Bool()
-	cp.inVIRQ = r.Bool()
-}
-
-// EncodeExceptionTo appends an Exception's fields to w (nested stacks
-// persist pending vCPU entries and forwarded exits).
-func EncodeExceptionTo(w *wire.Writer, e *Exception) {
-	w.U8(uint8(e.EC))
-	w.U16(e.Imm)
-	w.U16(uint16(e.Reg))
-	w.Bool(e.Write)
-	w.U64(e.Val)
-	w.U64(uint64(e.FaultIPA))
-	w.Int(e.Size)
-	w.Int(e.IRQ)
-}
-
-// DecodeExceptionFrom reads an Exception written by EncodeExceptionTo.
-func DecodeExceptionFrom(r *wire.Reader) Exception {
-	var e Exception
-	e.EC = EC(r.U8())
-	e.Imm = r.U16()
-	e.Reg = SysReg(r.U16())
-	e.Write = r.Bool()
-	e.Val = r.U64()
-	e.FaultIPA = mem.Addr(r.U64())
-	e.Size = r.Int()
-	e.IRQ = r.Int()
-	return e
+// Wire walks an Exception (nested stacks persist pending vCPU entries and
+// forwarded exits).
+func (e *Exception) Wire(c *wire.Codec) {
+	wire.U8(c, &e.EC)
+	wire.U16(c, &e.Imm)
+	wire.U16(c, &e.Reg)
+	wire.Bool(c, &e.Write)
+	wire.U64(c, &e.Val)
+	wire.U64(c, &e.FaultIPA)
+	wire.Int(c, &e.Size)
+	wire.Int(c, &e.IRQ)
 }

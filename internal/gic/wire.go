@@ -2,36 +2,11 @@ package gic
 
 import "github.com/nevesim/neve/internal/wire"
 
-// EncodeTo appends the distributor checkpoint's canonical binary form.
-func (cp *DistCheckpoint) EncodeTo(w *wire.Writer) {
-	for i := 0; i < NumINTIDs; i++ {
-		w.Bool(cp.enabled[i])
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		w.Bool(cp.pending[i])
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		w.Bool(cp.active[i])
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		w.Int(cp.route[i])
-	}
-	w.U32(cp.ctlr)
-}
-
-// DecodeFrom reads a distributor checkpoint written by EncodeTo.
-func (cp *DistCheckpoint) DecodeFrom(r *wire.Reader) {
-	for i := 0; i < NumINTIDs; i++ {
-		cp.enabled[i] = r.Bool()
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		cp.pending[i] = r.Bool()
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		cp.active[i] = r.Bool()
-	}
-	for i := 0; i < NumINTIDs; i++ {
-		cp.route[i] = r.Int()
-	}
-	cp.ctlr = r.U32()
+// Wire walks the distributor checkpoint.
+func (cp *DistCheckpoint) Wire(c *wire.Codec) {
+	wire.Each(c, cp.enabled[:], wire.Bool)
+	wire.Each(c, cp.pending[:], wire.Bool)
+	wire.Each(c, cp.active[:], wire.Bool)
+	wire.Each(c, cp.route[:], wire.Int)
+	wire.U32(c, &cp.ctlr)
 }

@@ -1,371 +1,169 @@
 package kvm
 
 import (
-	"github.com/nevesim/neve/internal/arm"
-	"github.com/nevesim/neve/internal/mem"
-	"github.com/nevesim/neve/internal/mmu"
-	"github.com/nevesim/neve/internal/virtio"
+	"slices"
+
+	"github.com/nevesim/neve/internal/machine"
 	"github.com/nevesim/neve/internal/wire"
 )
 
 // Durable serialization of stack checkpoints. Two kinds of state live in
 // a StackCheckpoint and they travel differently:
 //
-//   - Data (register files, cursors, counters, memory pages) is encoded
+//   - Data (register files, cursors, counters, memory pages) is walked
 //     field by field.
 //   - Wiring (FileTap pointers inside Contexts, the VIRQ plumbing) and
 //     topology pointers (the vCPU a loadedCtx refers to, the child
 //     hypervisor of a pending forward) are not encodable. Pointers are
-//     encoded as indices into the stack's fixed topology and resolved
+//     walked as indices into the stack's fixed topology and resolved
 //     against the live stack at decode; wiring is grafted from the live
 //     stack, which the restore path then leaves untouched.
 //
 // One piece of state has no index form: a guest program's installed IRQ
 // handler is an arbitrary Go closure. Encoding a checkpoint that carries
-// one fails with a sticky Writer error — the contract is that durable
+// one fails with a sticky codec error — the contract is that durable
 // checkpoints are boot checkpoints, captured before a workload installs
 // handlers. The bench warm-boot pool snapshots exactly there.
 
-func encodeCtx(w *wire.Writer, ctx *Context) {
-	for _, v := range ctx.regs {
-		w.U64(v)
+// Wire walks cp against s: the stack it was captured from when encoding,
+// the stack to materialize it against when decoding. A decoded checkpoint
+// is interchangeable with one from Stack.Checkpoint; a topology mismatch
+// or corrupt payload sets the codec's error and the partial checkpoint
+// must be discarded.
+func (cp *StackCheckpoint) Wire(c *wire.Codec, s *Stack) {
+	if c.Decoding() {
+		*cp = StackCheckpoint{machine: new(machine.Checkpoint)}
 	}
+	cp.machine.Wire(c, s.M)
+	cp.lastSMP.Wire(c)
+	wire.Topo(c, &cp.hyps, s.hyps(), "kvm: levels", func(cp *hypCheckpoint, c *wire.Codec, h *Hypervisor) {
+		cp.wire(c, s, h)
+	})
 }
 
-// decodeCtx grafts decoded registers onto a value copy of the live
-// context, preserving its FileTap wiring.
-func decodeCtx(r *wire.Reader, live Context) Context {
-	for i := range live.regs {
-		live.regs[i] = r.U64()
+// Wire walks the register file; the FileTap wiring stays.
+func (ctx *Context) Wire(c *wire.Codec) { wire.Words(c, ctx.regs[:]) }
+
+// Wire walks the SMP run statistics.
+func (st *SMPStats) Wire(c *wire.Codec) {
+	wire.Int(c, &st.VCPUs)
+	wire.Bool(c, &st.Parallel)
+	wire.U64(c, &st.Epochs)
+	wire.U64(c, &st.VClock)
+	wire.U64(c, &st.DistOps)
+	wire.U64(c, &st.Contention)
+	wire.U64(c, &st.FinalBudget)
+}
+
+func (cp *hypCheckpoint) wire(c *wire.Codec, s *Stack, h *Hypervisor) {
+	wire.Topo(c, &cp.hostCtxs, h.hostCtxs, "kvm["+h.Cfg.Name+"]: host contexts", func(ctx *Context, c *wire.Codec, live Context) {
+		if c.Decoding() {
+			*ctx = live // keeps the FileTap wiring
+		}
+		ctx.Wire(c)
+	})
+	wire.Slice(c, &cp.loaded, func(c *wire.Codec, l *loadedCtx) {
+		h.wireVCPURef(c, &l.vcpu)
+		wire.Int(c, &l.mode)
+	})
+	wire.Slice(c, &cp.pendingFwd, func(c *wire.Codec, f **fwd) {
+		wire.Ptr(c, f, func(c *wire.Codec, f *fwd) {
+			s.wireHypRef(c, &f.child)
+			f.exc.Wire(c)
+			wire.Int(c, &f.level)
+		})
+	})
+	wire.Bool(c, &cp.hasGuest)
+	wire.U64(c, &cp.guestNext)
+	wire.U16(c, &cp.nextVMID)
+	wire.Topo(c, &cp.vms, h.VMs, "kvm["+h.Cfg.Name+"]: VMs", (*vmCheckpoint).wire)
+}
+
+func (cp *vmCheckpoint) wire(c *wire.Codec, vm *VM) {
+	wire.Ptr(c, &cp.s2, wire.Struct)
+	wire.U16(c, &cp.vmid)
+	wire.Ptr(c, &cp.virtio, wire.Struct)
+	wire.U64(c, &cp.gicShadowOwn)
+	wire.U64(c, &cp.gicShadow)
+	wire.Topo(c, &cp.vcpus, vm.VCPUs, "kvm: vCPUs", (*vcpuCheckpoint).wire)
+}
+
+func (cp *virtioCheckpoint) Wire(c *wire.Codec) {
+	wire.U64(c, &cp.queuePFN)
+	wire.U64(c, &cp.queueNum)
+	wire.U64(c, &cp.status)
+	wire.U32(c, &cp.intStatus)
+	wire.Ptr(c, &cp.echo, wire.Struct)
+}
+
+func (cp *vcpuCheckpoint) wire(c *wire.Codec, v *VCPU) {
+	if c.Decoding() {
+		// Contexts keep the live vCPU's FileTap wiring.
+		cp.el1, cp.vel2, cp.virtEL1, cp.pageCtx = v.EL1, v.VEL2, v.VirtEL1, v.PageCtx
 	}
-	return live
+	cp.el1.Wire(c)
+	cp.vel2.Wire(c)
+	cp.virtEL1.Wire(c)
+	cp.pageCtx.Wire(c)
+	wire.Bool(c, &cp.inVEL2)
+	wire.Slice(c, &cp.pendingVIRQ, wire.Int)
+	wire.Ptr(c, &cp.pendingEntry, wire.Struct)
+	wire.Ptr(c, &cp.shadowS2, wire.Struct)
+	wire.Int(c, &cp.dirtyLRs)
+	wire.U64(c, &cp.x0)
+	wire.Bool(c, &cp.online)
+	wire.Ptr(c, &cp.guest, wire.Struct)
 }
 
-func encodeSMPStats(w *wire.Writer, st *SMPStats) {
-	w.Int(st.VCPUs)
-	w.Bool(st.Parallel)
-	w.U64(st.Epochs)
-	w.U64(st.VClock)
-	w.U64(st.DistOps)
-	w.U64(st.Contention)
-	w.U64(st.FinalBudget)
-}
-
-func decodeSMPStats(r *wire.Reader) SMPStats {
-	var st SMPStats
-	st.VCPUs = r.Int()
-	st.Parallel = r.Bool()
-	st.Epochs = r.U64()
-	st.VClock = r.U64()
-	st.DistOps = r.U64()
-	st.Contention = r.U64()
-	st.FinalBudget = r.U64()
-	return st
-}
-
-func encodeTables(w *wire.Writer, t *mmu.TablesCheckpoint) {
-	w.Bool(t != nil)
-	if t != nil {
-		t.EncodeTo(w)
+func (g *guestCheckpoint) Wire(c *wire.Codec) {
+	if g.irqHandler != nil {
+		c.Fail("kvm: checkpoint carries a guest IRQ handler (not a boot checkpoint); cannot serialize")
+		return
 	}
+	wire.U64(c, &g.irqCount)
+	wire.Ptr(c, &g.s1, wire.Struct)
+	wire.U64(c, &g.s1Next)
+	wire.Ptr(c, &g.vq, wire.Struct)
+	wire.U64(c, &g.vqBase)
 }
 
-func decodeTables(r *wire.Reader) *mmu.TablesCheckpoint {
-	if !r.Bool() {
-		return nil
-	}
-	t := &mmu.TablesCheckpoint{}
-	t.DecodeFrom(r)
-	return t
-}
-
-// hypIndex resolves a hypervisor pointer to its position in the stack's
-// fixed level order.
-func (s *Stack) hypIndex(h *Hypervisor) int {
-	for i, hh := range s.hyps() {
-		if hh == h {
-			return i
+// wireVCPURef walks a pointer to one of h's vCPUs as its (VM, vCPU)
+// index pair, (-1, -1) for nil.
+func (h *Hypervisor) wireVCPURef(c *wire.Codec, v **VCPU) {
+	vi, ci := -1, -1
+	for i, vm := range h.VMs {
+		if j := slices.Index(vm.VCPUs, *v); j >= 0 {
+			vi, ci = i, j
 		}
 	}
-	return -1
-}
-
-// vcpuIndex resolves a vCPU pointer to (vm, vcpu) indices within its
-// owning hypervisor.
-func vcpuIndex(h *Hypervisor, v *VCPU) (int, int) {
-	for vi, vm := range h.VMs {
-		for ci, c := range vm.VCPUs {
-			if c == v {
-				return vi, ci
-			}
-		}
+	if *v != nil && vi < 0 {
+		c.Fail("kvm[%s]: loaded vCPU not found in topology", h.Cfg.Name)
 	}
-	return -1, -1
+	wire.Int(c, &vi)
+	wire.Int(c, &ci)
+	if !c.Decoding() || vi < 0 {
+		return
+	}
+	if vi >= len(h.VMs) || ci < 0 || ci >= len(h.VMs[vi].VCPUs) {
+		c.Fail("kvm[%s]: loaded vCPU index (%d,%d) outside topology", h.Cfg.Name, vi, ci)
+		return
+	}
+	*v = h.VMs[vi].VCPUs[ci]
 }
 
-// EncodeCheckpoint appends cp's canonical binary form to w. The
-// checkpoint must have been captured from this stack (pointer targets
-// are resolved against its topology). State the codec cannot express —
-// an installed guest IRQ handler — records a sticky Writer error.
-func (s *Stack) EncodeCheckpoint(w *wire.Writer, cp *StackCheckpoint) {
-	cp.machine.EncodeTo(w)
-	encodeSMPStats(w, &cp.lastSMP)
+// wireHypRef walks a pointer to one of s's hypervisors as its level index.
+func (s *Stack) wireHypRef(c *wire.Codec, h **Hypervisor) {
 	hyps := s.hyps()
-	w.Len(len(cp.hyps))
-	for hi := range cp.hyps {
-		if hi >= len(hyps) {
-			w.Fail("kvm: checkpoint has more levels than the stack")
+	i := slices.Index(hyps, *h)
+	if !c.Decoding() && i < 0 {
+		c.Fail("kvm: forwarded child hypervisor not found in stack")
+	}
+	wire.Int(c, &i)
+	if c.Decoding() {
+		if i < 0 || i >= len(hyps) {
+			c.Fail("kvm: forwarded child index %d outside stack", i)
 			return
 		}
-		encodeHyp(s, w, hyps[hi], &cp.hyps[hi])
+		*h = hyps[i]
 	}
-}
-
-func encodeHyp(s *Stack, w *wire.Writer, h *Hypervisor, cp *hypCheckpoint) {
-	w.Len(len(cp.hostCtxs))
-	for i := range cp.hostCtxs {
-		encodeCtx(w, &cp.hostCtxs[i])
-	}
-	w.Len(len(cp.loaded))
-	for i := range cp.loaded {
-		l := &cp.loaded[i]
-		vi, ci := -1, -1
-		if l.vcpu != nil {
-			vi, ci = vcpuIndex(h, l.vcpu)
-			if vi < 0 {
-				w.Fail("kvm[%s]: loaded vCPU not found in topology", h.Cfg.Name)
-			}
-		}
-		w.Int(vi)
-		w.Int(ci)
-		w.Int(int(l.mode))
-	}
-	w.Len(len(cp.pendingFwd))
-	for _, f := range cp.pendingFwd {
-		w.Bool(f != nil)
-		if f == nil {
-			continue
-		}
-		ci := s.hypIndex(f.child)
-		if ci < 0 {
-			w.Fail("kvm[%s]: forwarded child hypervisor not found in stack", h.Cfg.Name)
-		}
-		w.Int(ci)
-		arm.EncodeExceptionTo(w, &f.exc)
-		w.Int(int(f.level))
-	}
-	w.Bool(cp.hasGuest)
-	w.U64(uint64(cp.guestNext))
-	w.U16(cp.nextVMID)
-	w.Len(len(cp.vms))
-	for i := range cp.vms {
-		encodeVM(w, &cp.vms[i])
-	}
-}
-
-func encodeVM(w *wire.Writer, cp *vmCheckpoint) {
-	encodeTables(w, cp.s2)
-	w.U16(cp.vmid)
-	w.Bool(cp.virtio != nil)
-	if cp.virtio != nil {
-		w.U64(cp.virtio.queuePFN)
-		w.U64(cp.virtio.queueNum)
-		w.U64(cp.virtio.status)
-		w.U32(cp.virtio.intStatus)
-		w.Bool(cp.virtio.echo != nil)
-		if cp.virtio.echo != nil {
-			cp.virtio.echo.EncodeTo(w)
-		}
-	}
-	w.U64(uint64(cp.gicShadowOwn))
-	w.U64(uint64(cp.gicShadow))
-	w.Len(len(cp.vcpus))
-	for i := range cp.vcpus {
-		encodeVCPU(w, &cp.vcpus[i])
-	}
-}
-
-func encodeVCPU(w *wire.Writer, cp *vcpuCheckpoint) {
-	encodeCtx(w, &cp.el1)
-	encodeCtx(w, &cp.vel2)
-	encodeCtx(w, &cp.virtEL1)
-	encodeCtx(w, &cp.pageCtx)
-	w.Bool(cp.inVEL2)
-	w.Len(len(cp.pendingVIRQ))
-	for _, irq := range cp.pendingVIRQ {
-		w.Int(irq)
-	}
-	w.Bool(cp.pendingEntry != nil)
-	if cp.pendingEntry != nil {
-		arm.EncodeExceptionTo(w, cp.pendingEntry)
-	}
-	encodeTables(w, cp.shadowS2)
-	w.Int(cp.dirtyLRs)
-	w.U64(cp.x0)
-	w.Bool(cp.online)
-	w.Bool(cp.guest != nil)
-	if cp.guest == nil {
-		return
-	}
-	g := cp.guest
-	if g.irqHandler != nil {
-		w.Fail("kvm: checkpoint carries a guest IRQ handler (not a boot checkpoint); cannot serialize")
-		return
-	}
-	w.U64(g.irqCount)
-	encodeTables(w, g.s1)
-	w.U64(uint64(g.s1Next))
-	w.Bool(g.vq != nil)
-	if g.vq != nil {
-		g.vq.EncodeTo(w)
-	}
-	w.U64(uint64(g.vqBase))
-}
-
-// DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint,
-// materializing it against this stack: pointer indices resolve to the
-// live topology and context wiring is grafted from the live contexts.
-// The result is interchangeable with a checkpoint from Stack.Checkpoint;
-// a topology mismatch or corrupt payload sets the reader's error and the
-// partial checkpoint must be discarded.
-func (s *Stack) DecodeCheckpoint(r *wire.Reader) *StackCheckpoint {
-	cp := &StackCheckpoint{}
-	cp.machine = s.M.DecodeCheckpoint(r)
-	cp.lastSMP = decodeSMPStats(r)
-	hyps := s.hyps()
-	n := r.Len()
-	if r.Err() == nil && n != len(hyps) {
-		r.Fail("kvm: checkpoint has %d levels, stack has %d", n, len(hyps))
-	}
-	for _, h := range hyps {
-		if r.Err() != nil {
-			break
-		}
-		cp.hyps = append(cp.hyps, decodeHyp(s, r, h))
-	}
-	return cp
-}
-
-func decodeHyp(s *Stack, r *wire.Reader, h *Hypervisor) hypCheckpoint {
-	cp := hypCheckpoint{}
-	n := r.Len()
-	if r.Err() == nil && n != len(h.hostCtxs) {
-		r.Fail("kvm[%s]: checkpoint has %d host contexts, stack has %d", h.Cfg.Name, n, len(h.hostCtxs))
-	}
-	for i := 0; i < len(h.hostCtxs) && r.Err() == nil; i++ {
-		cp.hostCtxs = append(cp.hostCtxs, decodeCtx(r, h.hostCtxs[i]))
-	}
-	n = r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		vi := r.Int()
-		ci := r.Int()
-		mode := runMode(r.Int())
-		var v *VCPU
-		if vi >= 0 {
-			if vi >= len(h.VMs) || ci < 0 || ci >= len(h.VMs[vi].VCPUs) {
-				r.Fail("kvm[%s]: loaded vCPU index (%d,%d) outside topology", h.Cfg.Name, vi, ci)
-				break
-			}
-			v = h.VMs[vi].VCPUs[ci]
-		}
-		cp.loaded = append(cp.loaded, loadedCtx{vcpu: v, mode: mode})
-	}
-	n = r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		if !r.Bool() {
-			cp.pendingFwd = append(cp.pendingFwd, nil)
-			continue
-		}
-		ci := r.Int()
-		exc := arm.DecodeExceptionFrom(r)
-		level := arm.VLevel(r.Int())
-		hyps := s.hyps()
-		if ci < 0 || ci >= len(hyps) {
-			r.Fail("kvm[%s]: forwarded child index %d outside stack", h.Cfg.Name, ci)
-			break
-		}
-		cp.pendingFwd = append(cp.pendingFwd, &fwd{child: hyps[ci], exc: exc, level: level})
-	}
-	cp.hasGuest = r.Bool()
-	cp.guestNext = mem.Addr(r.U64())
-	cp.nextVMID = r.U16()
-	n = r.Len()
-	if r.Err() == nil && n != len(h.VMs) {
-		r.Fail("kvm[%s]: checkpoint has %d VMs, stack has %d", h.Cfg.Name, n, len(h.VMs))
-	}
-	for _, vm := range h.VMs {
-		if r.Err() != nil {
-			break
-		}
-		cp.vms = append(cp.vms, decodeVM(r, vm))
-	}
-	return cp
-}
-
-func decodeVM(r *wire.Reader, vm *VM) vmCheckpoint {
-	cp := vmCheckpoint{}
-	cp.s2 = decodeTables(r)
-	cp.vmid = r.U16()
-	if r.Bool() {
-		vcp := &virtioCheckpoint{}
-		vcp.queuePFN = r.U64()
-		vcp.queueNum = r.U64()
-		vcp.status = r.U64()
-		vcp.intStatus = r.U32()
-		if r.Bool() {
-			e := &virtio.EchoCheckpoint{}
-			e.DecodeFrom(r)
-			vcp.echo = e
-		}
-		cp.virtio = vcp
-	}
-	cp.gicShadowOwn = mem.Addr(r.U64())
-	cp.gicShadow = mem.Addr(r.U64())
-	n := r.Len()
-	if r.Err() == nil && n != len(vm.VCPUs) {
-		r.Fail("kvm: checkpoint has %d vCPUs, VM has %d", n, len(vm.VCPUs))
-	}
-	for _, v := range vm.VCPUs {
-		if r.Err() != nil {
-			break
-		}
-		cp.vcpus = append(cp.vcpus, decodeVCPU(r, v))
-	}
-	return cp
-}
-
-func decodeVCPU(r *wire.Reader, v *VCPU) vcpuCheckpoint {
-	cp := vcpuCheckpoint{}
-	cp.el1 = decodeCtx(r, v.EL1)
-	cp.vel2 = decodeCtx(r, v.VEL2)
-	cp.virtEL1 = decodeCtx(r, v.VirtEL1)
-	cp.pageCtx = decodeCtx(r, v.PageCtx)
-	cp.inVEL2 = r.Bool()
-	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.pendingVIRQ = append(cp.pendingVIRQ, r.Int())
-	}
-	if r.Bool() {
-		e := arm.DecodeExceptionFrom(r)
-		cp.pendingEntry = &e
-	}
-	cp.shadowS2 = decodeTables(r)
-	cp.dirtyLRs = r.Int()
-	cp.x0 = r.U64()
-	cp.online = r.Bool()
-	if !r.Bool() {
-		return cp
-	}
-	g := &guestCheckpoint{}
-	g.irqCount = r.U64()
-	g.s1 = decodeTables(r)
-	g.s1Next = mem.Addr(r.U64())
-	if r.Bool() {
-		d := &virtio.DriverCheckpoint{}
-		d.DecodeFrom(r)
-		g.vq = d
-	}
-	g.vqBase = mem.Addr(r.U64())
-	cp.guest = g
-	return cp
 }

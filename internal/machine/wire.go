@@ -2,72 +2,34 @@ package machine
 
 import (
 	"github.com/nevesim/neve/internal/arm"
+	"github.com/nevesim/neve/internal/gic"
+	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/timer"
 	"github.com/nevesim/neve/internal/wire"
 )
 
-// Durable serialization of machine checkpoints. Encoding writes every
-// data field; decoding grafts the data onto checkpoints taken off the
-// live machine, so component wiring (trace sinks, VIRQ plumbing) stays
-// intact and only the captured state is replaced. The decoded checkpoint
-// is then interchangeable with one produced by Machine.Checkpoint.
-
-// EncodeTo appends the checkpoint's canonical binary form to w.
-func (cp *Checkpoint) EncodeTo(w *wire.Writer) {
-	cp.mem.EncodeTo(w)
-	w.Len(len(cp.cpus))
-	for _, c := range cp.cpus {
-		c.EncodeTo(w)
+// Wire walks every data field of the checkpoint. Decoding fills cp
+// against m: the CPU and timer counts must match m's topology, CPU
+// checkpoints start from m's live cores so component wiring (VIRQ
+// plumbing) stays intact, and memory pages materialize in m.Mem. The
+// decoded checkpoint is then interchangeable with one produced by
+// Machine.Checkpoint.
+func (cp *Checkpoint) Wire(c *wire.Codec, m *Machine) {
+	if c.Decoding() {
+		*cp = Checkpoint{mem: new(mem.Snapshot), dist: new(gic.DistCheckpoint)}
 	}
-	cp.dist.EncodeTo(w)
-	w.Len(len(cp.timers))
-	for i := range cp.timers {
-		cp.timers[i].EncodeTo(w)
-	}
-	cp.s2.EncodeTo(w)
-	w.Blob(cp.uart)
-	cp.trace.EncodeTo(w)
-}
-
-// DecodeCheckpoint reads a checkpoint written by EncodeTo, materializing
-// it against m. The encoded machine must have the same topology (CPU and
-// timer count) as m; a mismatch sets the reader's error.
-func (m *Machine) DecodeCheckpoint(r *wire.Reader) *Checkpoint {
-	cp := &Checkpoint{}
-	cp.mem = m.Mem.DecodeSnapshot(r)
-	n := r.Len()
-	if r.Err() == nil && n != len(m.CPUs) {
-		r.Fail("machine: checkpoint has %d CPUs, machine has %d", n, len(m.CPUs))
-	}
-	for _, c := range m.CPUs {
-		if r.Err() != nil {
-			break
+	cp.mem.Wire(c, m.Mem)
+	wire.Topo(c, &cp.cpus, m.CPUs, "machine: CPUs", func(cp **arm.CPUCheckpoint, c *wire.Codec, cpu *arm.CPU) {
+		if c.Decoding() {
+			*cp = cpu.Checkpoint()
 		}
-		ccp := c.Checkpoint()
-		ccp.DecodeFrom(r)
-		cp.cpus = append(cp.cpus, ccp)
-	}
-	cp.dist = m.Dist.Checkpoint()
-	cp.dist.DecodeFrom(r)
-	n = r.Len()
-	if r.Err() == nil && n != len(m.Timers) {
-		r.Fail("machine: checkpoint has %d timers, machine has %d", n, len(m.Timers))
-	}
-	cp.timers = make([]timer.TimerCheckpoint, 0, len(m.Timers))
-	for range m.Timers {
-		if r.Err() != nil {
-			break
-		}
-		var tcp timer.TimerCheckpoint
-		tcp.DecodeFrom(r)
-		cp.timers = append(cp.timers, tcp)
-	}
-	cp.s2.DecodeFrom(r)
-	cp.uart = append([]byte(nil), r.Blob()...)
-	cp.trace.DecodeFrom(r)
-	return cp
+		(*cp).Wire(c)
+	})
+	cp.dist.Wire(c)
+	wire.Topo(c, &cp.timers, m.Timers, "machine: timers", func(t *timer.TimerCheckpoint, c *wire.Codec, _ *timer.Timer) {
+		t.Wire(c)
+	})
+	cp.s2.Wire(c)
+	wire.Blob(c, &cp.uart)
+	cp.trace.Wire(c)
 }
-
-// cpuCheckpoints is used by the stack-level codecs to splice per-CPU
-// state; keep the machine package the only place that knows the field.
-func (cp *Checkpoint) CPUCheckpoints() []*arm.CPUCheckpoint { return cp.cpus }

@@ -1,66 +1,30 @@
 package mmu
 
-import (
-	"github.com/nevesim/neve/internal/mem"
-	"github.com/nevesim/neve/internal/wire"
-)
+import "github.com/nevesim/neve/internal/wire"
 
-// EncodeTo appends the tree bookkeeping's canonical binary form.
-func (cp *TablesCheckpoint) EncodeTo(w *wire.Writer) {
-	w.U64(uint64(cp.root))
-	w.Int(cp.pages)
+// Wire walks the tree bookkeeping.
+func (cp *TablesCheckpoint) Wire(c *wire.Codec) {
+	wire.U64(c, &cp.root)
+	wire.Int(c, &cp.pages)
 }
 
-// DecodeFrom reads bookkeeping written by EncodeTo.
-func (cp *TablesCheckpoint) DecodeFrom(r *wire.Reader) {
-	cp.root = mem.Addr(r.U64())
-	cp.pages = r.Int()
+// Wire walks the TLB checkpoint.
+func (cp *TLBCheckpoint) Wire(c *wire.Codec) {
+	wire.Slice(c, &cp.slots, wire.Struct)
+	wire.Slice(c, &cp.next, wire.U16)
+	wire.Int(c, &cp.live)
+	wire.U64(c, &cp.hits)
+	wire.U64(c, &cp.misses)
 }
 
-// EncodeTo appends the TLB checkpoint's canonical binary form.
-func (cp *TLBCheckpoint) EncodeTo(w *wire.Writer) {
-	w.Len(len(cp.slots))
-	for _, s := range cp.slots {
-		w.Bool(s.valid)
-		w.U16(s.vmid)
-		w.U64(uint64(s.iaPage))
-		w.U64(uint64(s.oaPage))
-		w.U8(uint8(s.perm))
-	}
-	w.Len(len(cp.next))
-	for _, v := range cp.next {
-		w.U16(v)
-	}
-	w.Int(cp.live)
-	w.U64(cp.hits)
-	w.U64(cp.misses)
+// Wire walks one TLB entry.
+func (s *tlbSlot) Wire(c *wire.Codec) {
+	wire.Bool(c, &s.valid)
+	wire.U16(c, &s.vmid)
+	wire.U64(c, &s.iaPage)
+	wire.U64(c, &s.oaPage)
+	wire.U8(c, &s.perm)
 }
 
-// DecodeFrom reads a TLB checkpoint written by EncodeTo.
-func (cp *TLBCheckpoint) DecodeFrom(r *wire.Reader) {
-	n := r.Len()
-	cp.slots = make([]tlbSlot, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var s tlbSlot
-		s.valid = r.Bool()
-		s.vmid = r.U16()
-		s.iaPage = mem.Addr(r.U64())
-		s.oaPage = mem.Addr(r.U64())
-		s.perm = Perm(r.U8())
-		cp.slots = append(cp.slots, s)
-	}
-	n = r.Len()
-	cp.next = make([]uint16, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.next = append(cp.next, r.U16())
-	}
-	cp.live = r.Int()
-	cp.hits = r.U64()
-	cp.misses = r.U64()
-}
-
-// EncodeTo appends the Stage-2 MMU checkpoint's canonical binary form.
-func (cp *Stage2Checkpoint) EncodeTo(w *wire.Writer) { cp.tlb.EncodeTo(w) }
-
-// DecodeFrom reads a Stage-2 checkpoint written by EncodeTo.
-func (cp *Stage2Checkpoint) DecodeFrom(r *wire.Reader) { cp.tlb.DecodeFrom(r) }
+// Wire walks the Stage-2 MMU checkpoint.
+func (cp *Stage2Checkpoint) Wire(c *wire.Codec) { cp.tlb.Wire(c) }

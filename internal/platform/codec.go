@@ -3,11 +3,13 @@ package platform
 import (
 	"fmt"
 
+	"github.com/nevesim/neve/internal/kvm"
 	"github.com/nevesim/neve/internal/wire"
+	"github.com/nevesim/neve/internal/x86"
 )
 
 // Checkpoint payload layout: a one-byte architecture tag followed by the
-// stack encoding. The tag is a safety net inside an already-keyed store —
+// stack's walk. The tag is a safety net inside an already-keyed store —
 // entries are addressed by the spec's axes, so an arch mismatch can only
 // mean key corruption, and it should fail loudly rather than feed ARM
 // bytes to the x86 decoder.
@@ -22,27 +24,11 @@ const (
 // IRQ handler, which marks a mid-workload capture rather than a boot
 // checkpoint.
 func EncodeCheckpoint(p Platform, cp *Checkpoint) ([]byte, error) {
-	w := &wire.Writer{}
-	switch {
-	case cp.arm != nil:
-		if p.ARM() == nil {
-			return nil, fmt.Errorf("platform: encoding an ARM checkpoint against an x86 platform")
-		}
-		w.U8(tagARM)
-		p.ARM().EncodeCheckpoint(w, cp.arm)
-	case cp.x86 != nil:
-		if p.X86() == nil {
-			return nil, fmt.Errorf("platform: encoding an x86 checkpoint against an ARM platform")
-		}
-		w.U8(tagX86)
-		p.X86().EncodeCheckpoint(w, cp.x86)
-	default:
-		return nil, fmt.Errorf("platform: empty checkpoint")
-	}
-	if err := w.Err(); err != nil {
+	c := wire.NewEncoder()
+	if err := cp.wire(c, p); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	return c.Payload(), nil
 }
 
 // DecodeCheckpoint reads a payload written by EncodeCheckpoint,
@@ -50,29 +36,47 @@ func EncodeCheckpoint(p Platform, cp *Checkpoint) ([]byte, error) {
 // have been built from the same spec — the store's content addressing
 // guarantees this). The returned checkpoint is interchangeable with one
 // from p.Snapshot(); any mismatch or corruption returns an error and the
-// platform is left untouched.
+// platform's state is left untouched.
 func DecodeCheckpoint(p Platform, b []byte) (*Checkpoint, error) {
-	r := wire.NewReader(b)
+	c := wire.NewDecoder(b)
 	cp := &Checkpoint{}
-	switch tag := r.U8(); tag {
-	case tagARM:
-		if p.ARM() == nil {
-			return nil, fmt.Errorf("platform: ARM checkpoint payload for an x86 platform")
-		}
-		cp.arm = p.ARM().DecodeCheckpoint(r)
-	case tagX86:
-		if p.X86() == nil {
-			return nil, fmt.Errorf("platform: x86 checkpoint payload for an ARM platform")
-		}
-		cp.x86 = p.X86().DecodeCheckpoint(r)
-	default:
-		return nil, fmt.Errorf("platform: unknown checkpoint arch tag %#x", tag)
-	}
-	if err := r.Err(); err != nil {
+	if err := cp.wire(c, p); err != nil {
 		return nil, err
 	}
-	if n := r.Remaining(); n != 0 {
+	if n := c.Remaining(); n != 0 {
 		return nil, fmt.Errorf("platform: %d trailing bytes after checkpoint", n)
 	}
 	return cp, nil
+}
+
+// wire walks the arch tag and then the stack checkpoint against p's
+// stack.
+func (cp *Checkpoint) wire(c *wire.Codec, p Platform) error {
+	var tag uint8
+	switch {
+	case cp.arm != nil:
+		tag = tagARM
+	case cp.x86 != nil:
+		tag = tagX86
+	}
+	wire.U8(c, &tag)
+	switch {
+	case tag == tagARM && p.ARM() != nil:
+		if c.Decoding() {
+			cp.arm = new(kvm.StackCheckpoint)
+		}
+		cp.arm.Wire(c, p.ARM())
+	case tag == tagX86 && p.X86() != nil:
+		if c.Decoding() {
+			cp.x86 = new(x86.StackCheckpoint)
+		}
+		cp.x86.Wire(c, p.X86())
+	case tag == tagARM || tag == tagX86:
+		return fmt.Errorf("platform: %c checkpoint does not fit the %s platform", tag, p.Spec().Arch)
+	case c.Decoding():
+		return fmt.Errorf("platform: unknown checkpoint arch tag %#x", tag)
+	default:
+		return fmt.Errorf("platform: empty checkpoint")
+	}
+	return c.Err()
 }

@@ -1,34 +1,13 @@
 package timer
 
 import (
-	"sort"
+	"cmp"
 
-	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/wire"
 )
 
-// EncodeTo appends the timer checkpoint's canonical binary form: the
-// fired-at map in ascending register order, so identical timer state
-// always encodes to identical bytes.
-func (cp *TimerCheckpoint) EncodeTo(w *wire.Writer) {
-	regs := make([]arm.SysReg, 0, len(cp.firedAt))
-	for reg := range cp.firedAt {
-		regs = append(regs, reg)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	w.Len(len(regs))
-	for _, reg := range regs {
-		w.U16(uint16(reg))
-		w.U64(cp.firedAt[reg])
-	}
-}
-
-// DecodeFrom reads a timer checkpoint written by EncodeTo.
-func (cp *TimerCheckpoint) DecodeFrom(r *wire.Reader) {
-	n := r.Len()
-	cp.firedAt = make(map[arm.SysReg]uint64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		reg := arm.SysReg(r.U16())
-		cp.firedAt[reg] = r.U64()
-	}
+// Wire walks the timer checkpoint: the fired-at map in ascending register
+// order, so identical timer state always encodes to identical bytes.
+func (cp *TimerCheckpoint) Wire(c *wire.Codec) {
+	wire.Map(c, &cp.firedAt, cmp.Compare, wire.U16, wire.U64)
 }

@@ -1,119 +1,48 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
 
 	"github.com/nevesim/neve/internal/wire"
 )
 
-func encodeEvent(w *wire.Writer, ev Event) {
-	w.Int(int(ev.Reason))
-	w.U8(uint8(ev.Arch))
-	w.U8(ev.Code)
-	w.Bool(ev.Write)
-	w.U16(ev.Aux)
-	w.U64(ev.Addr)
-	w.Int(ev.FromLevel)
-	w.Int(ev.ToLevel)
-	w.U64(ev.Cycle)
+// Wire walks the collector checkpoint. The sparse counter map is walked
+// in ascending (key, addr) order so that identical state always encodes
+// to identical bytes.
+func (cp *CollectorCheckpoint) Wire(c *wire.Codec) {
+	wire.Slice(c, &cp.events, wire.Struct)
+	wire.Words(c, cp.byReason[:])
+	wire.WordSlice(c, &cp.dense)
+	wire.Map(c, &cp.sparse, func(a, b addrKey) int {
+		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.addr, b.addr))
+	}, wire.Struct, wire.U64)
+	wire.Bool(c, &cp.enabled)
+	wire.Bool(c, &cp.record)
+	// The recent ring's nil-ness is semantic (nil = ring disabled). The
+	// presence flag only keeps the format: an enabled ring is never empty,
+	// and Slice decodes an empty list as nil.
+	on := cp.recent != nil
+	wire.Bool(c, &on)
+	wire.Slice(c, &cp.recent, wire.Struct)
+	wire.Int(c, &cp.recentNext)
+	wire.U64(c, &cp.recentTotal)
 }
 
-func decodeEvent(r *wire.Reader) Event {
-	var ev Event
-	ev.Reason = Reason(r.Int())
-	ev.Arch = Arch(r.U8())
-	ev.Code = r.U8()
-	ev.Write = r.Bool()
-	ev.Aux = r.U16()
-	ev.Addr = r.U64()
-	ev.FromLevel = r.Int()
-	ev.ToLevel = r.Int()
-	ev.Cycle = r.U64()
-	return ev
+// Wire walks one trap event.
+func (ev *Event) Wire(c *wire.Codec) {
+	wire.Int(c, &ev.Reason)
+	wire.U8(c, &ev.Arch)
+	wire.U8(c, &ev.Code)
+	wire.Bool(c, &ev.Write)
+	wire.U16(c, &ev.Aux)
+	wire.U64(c, &ev.Addr)
+	wire.Int(c, &ev.FromLevel)
+	wire.Int(c, &ev.ToLevel)
+	wire.U64(c, &ev.Cycle)
 }
 
-// EncodeTo appends the collector checkpoint's canonical binary form. The
-// sparse counter map is emitted in ascending (key, addr) order so that
-// identical state always encodes to identical bytes.
-func (cp *CollectorCheckpoint) EncodeTo(w *wire.Writer) {
-	w.Len(len(cp.events))
-	for _, ev := range cp.events {
-		encodeEvent(w, ev)
-	}
-	for _, v := range cp.byReason {
-		w.U64(v)
-	}
-	w.Len(len(cp.dense))
-	for _, v := range cp.dense {
-		w.U64(v)
-	}
-	keys := make([]addrKey, 0, len(cp.sparse))
-	for k := range cp.sparse {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].k != keys[j].k {
-			return keys[i].k < keys[j].k
-		}
-		return keys[i].addr < keys[j].addr
-	})
-	w.Len(len(keys))
-	for _, k := range keys {
-		w.U32(uint32(k.k))
-		w.U64(k.addr)
-		w.U64(cp.sparse[k])
-	}
-	w.Bool(cp.enabled)
-	w.Bool(cp.record)
-	// The recent ring's nil-ness is semantic (nil = ring disabled), so it
-	// is preserved across the wire.
-	w.Bool(cp.recent != nil)
-	w.Len(len(cp.recent))
-	for _, ev := range cp.recent {
-		encodeEvent(w, ev)
-	}
-	w.Int(cp.recentNext)
-	w.U64(cp.recentTotal)
-}
-
-// DecodeFrom reads a collector checkpoint written by EncodeTo.
-func (cp *CollectorCheckpoint) DecodeFrom(r *wire.Reader) {
-	n := r.Len()
-	cp.events = make([]Event, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.events = append(cp.events, decodeEvent(r))
-	}
-	for i := range cp.byReason {
-		cp.byReason[i] = r.U64()
-	}
-	n = r.Len()
-	cp.dense = make([]uint64, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.dense = append(cp.dense, r.U64())
-	}
-	n = r.Len()
-	cp.sparse = nil
-	if n > 0 {
-		cp.sparse = make(map[addrKey]uint64, n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := addrKey{k: Key(r.U32()), addr: r.U64()}
-		cp.sparse[k] = r.U64()
-	}
-	cp.enabled = r.Bool()
-	cp.record = r.Bool()
-	hasRecent := r.Bool()
-	n = r.Len()
-	cp.recent = nil
-	if hasRecent {
-		cp.recent = make([]Event, 0, n)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		ev := decodeEvent(r)
-		if hasRecent {
-			cp.recent = append(cp.recent, ev)
-		}
-	}
-	cp.recentNext = r.Int()
-	cp.recentTotal = r.U64()
+// Wire walks a sparse counter key.
+func (k *addrKey) Wire(c *wire.Codec) {
+	wire.U32(c, &k.k)
+	wire.U64(c, &k.addr)
 }

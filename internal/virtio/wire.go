@@ -2,28 +2,15 @@ package virtio
 
 import "github.com/nevesim/neve/internal/wire"
 
-// EncodeTo appends the backend checkpoint's canonical binary form.
-func (cp *EchoCheckpoint) EncodeTo(w *wire.Writer) {
-	w.U16(cp.lastAvail)
-	w.U32(cp.intStatus)
-	w.U64(cp.processed)
+// Wire walks the backend checkpoint.
+func (cp *EchoCheckpoint) Wire(c *wire.Codec) {
+	wire.U16(c, &cp.lastAvail)
+	wire.U32(c, &cp.intStatus)
+	wire.U64(c, &cp.processed)
 }
 
-// DecodeFrom reads a backend checkpoint written by EncodeTo.
-func (cp *EchoCheckpoint) DecodeFrom(r *wire.Reader) {
-	cp.lastAvail = r.U16()
-	cp.intStatus = r.U32()
-	cp.processed = r.U64()
-}
-
-// EncodeTo appends the driver checkpoint's canonical binary form.
-func (cp *DriverCheckpoint) EncodeTo(w *wire.Writer) {
-	w.U16(cp.next)
-	w.U16(cp.lastUsed)
-}
-
-// DecodeFrom reads a driver checkpoint written by EncodeTo.
-func (cp *DriverCheckpoint) DecodeFrom(r *wire.Reader) {
-	cp.next = r.U16()
-	cp.lastUsed = r.U16()
+// Wire walks the driver checkpoint.
+func (cp *DriverCheckpoint) Wire(c *wire.Codec) {
+	wire.U16(c, &cp.next)
+	wire.U16(c, &cp.lastUsed)
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,73 @@ func TestDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(enc(), enc()) {
 		t.Fatal("identical writes produced different bytes")
+	}
+}
+
+// TestCodecWalkRoundTrips drives one walk in both directions: maps encode
+// in sorted key order whatever their iteration order, nil pointers and
+// empty slices survive as nil, and a decoder reproduces the value.
+func TestCodecWalkRoundTrips(t *testing.T) {
+	type rec struct {
+		m     map[uint16]uint64
+		p, q  *int
+		s     []int
+		words []uint64
+		page  [16]byte
+	}
+	walk := func(c *Codec, r *rec) {
+		Map(c, &r.m, func(a, b uint16) int { return int(a) - int(b) }, U16, U64)
+		Ptr(c, &r.p, Int)
+		Ptr(c, &r.q, Int)
+		Slice(c, &r.s, Int)
+		WordSlice(c, &r.words)
+		Fixed(c, r.page[:])
+	}
+	seven := 7
+	in := rec{m: map[uint16]uint64{}, q: &seven, words: []uint64{1, 1 << 63}, page: [16]byte{3: 9}}
+	for k := uint16(0); k < 64; k++ {
+		in.m[k*7919] = uint64(k)
+	}
+	enc := func() []byte {
+		c := NewEncoder()
+		walk(c, &in)
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Payload()
+	}
+	b := enc()
+	if !bytes.Equal(b, enc()) {
+		t.Fatal("the same map encoded to different bytes")
+	}
+	var out rec
+	c := NewDecoder(b)
+	walk(c, &out)
+	if err := c.Err(); err != nil || c.Remaining() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", err, c.Remaining())
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip changed the value:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// TestCodecTopoChecksBothDirections: a list sized by the live topology
+// must match it when encoding (the checkpoint came from elsewhere) and
+// when decoding (the payload came from elsewhere).
+func TestCodecTopoChecksBothDirections(t *testing.T) {
+	elem := func(v *uint64, c *Codec, _ int) { U64(c, v) }
+	c := NewEncoder()
+	two := []uint64{1, 2}
+	Topo(c, &two, []int{0, 1, 2}, "cpus", elem)
+	if c.Err() == nil {
+		t.Fatal("encoder accepted 2 entries for a 3-entry topology")
+	}
+	c = NewEncoder()
+	Topo(c, &two, []int{0, 1}, "cpus", elem)
+	var got []uint64
+	d := NewDecoder(c.Payload())
+	Topo(d, &got, []int{0, 1, 2}, "cpus", elem)
+	if d.Err() == nil {
+		t.Fatal("decoder accepted 2 entries for a 3-entry topology")
 	}
 }

@@ -1,315 +1,141 @@
 package x86
 
 import (
+	"slices"
+
 	"github.com/nevesim/neve/internal/mem"
-	"github.com/nevesim/neve/internal/mmu"
 	"github.com/nevesim/neve/internal/wire"
 )
 
 // Durable serialization of x86 stack checkpoints, deliberately symmetric
-// with the ARM side (internal/kvm/wire.go): data fields encode, wiring
-// (the IRQ sink, the by-reference shadow bitmap) is grafted from the
-// live stack at decode, and topology pointers (loaded vCPUs, forwarded
-// child hypervisors) travel as indices. Checkpoints carrying a guest IRQ
-// handler cannot be serialized — durable checkpoints are boot
+// with the ARM side (internal/kvm/wire.go): data fields are walked,
+// wiring (the IRQ sink, the by-reference shadow bitmap) is grafted from
+// the live stack at decode, and topology pointers (loaded vCPUs,
+// forwarded child hypervisors) travel as indices. Checkpoints carrying a
+// guest IRQ handler cannot be serialized — durable checkpoints are boot
 // checkpoints.
 
-func encodeCPU(w *wire.Writer, cp *CPUCheckpoint) {
-	w.Bool(cp.nonRoot)
-	w.Int(cp.level)
-	w.Int(cp.guestLevel)
-	w.U64(uint64(cp.current.Base))
-	w.Bool(cp.shadowEnabled)
-	w.U64(uint64(cp.shadowVMCS.Base))
-	w.Len(len(cp.posted))
-	for _, v := range cp.posted {
-		w.Int(v)
+// Wire walks cp against s: the stack it was captured from when encoding,
+// the stack to materialize it against when decoding. See the ARM side
+// for the contract.
+func (cp *StackCheckpoint) Wire(c *wire.Codec, s *Stack) {
+	if c.Decoding() {
+		*cp = StackCheckpoint{mem: new(mem.Snapshot)}
 	}
-	w.Len(len(cp.pendingIRQ))
-	for _, v := range cp.pendingIRQ {
-		w.Int(v)
-	}
-	w.Bool(cp.inIRQ)
-	w.U64(cp.cycles)
-	for _, v := range cp.levelCycles {
-		w.U64(v)
-	}
-	w.U64(cp.lastAttributed)
-}
-
-// decodeCPU grafts decoded data onto a checkpoint taken off the live
-// core, preserving the IRQ sink and the by-reference shadow bitmap.
-func decodeCPU(r *wire.Reader, c *CPU) *CPUCheckpoint {
-	cp := c.Checkpoint()
-	cp.nonRoot = r.Bool()
-	cp.level = r.Int()
-	cp.guestLevel = r.Int()
-	cp.current = VMCS{Base: mem.Addr(r.U64())}
-	cp.shadowEnabled = r.Bool()
-	cp.shadowVMCS = VMCS{Base: mem.Addr(r.U64())}
-	n := r.Len()
-	cp.posted = nil
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.posted = append(cp.posted, r.Int())
-	}
-	n = r.Len()
-	cp.pendingIRQ = nil
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.pendingIRQ = append(cp.pendingIRQ, r.Int())
-	}
-	cp.inIRQ = r.Bool()
-	cp.cycles = r.U64()
-	for i := range cp.levelCycles {
-		cp.levelCycles[i] = r.U64()
-	}
-	cp.lastAttributed = r.U64()
-	return cp
-}
-
-func encodeExit(w *wire.Writer, e *Exit) {
-	w.Int(int(e.Reason))
-	w.U16(uint16(e.Field))
-	w.U64(e.Val)
-	w.U64(uint64(e.Addr))
-	w.Bool(e.Write)
-	w.Int(e.Vector)
-}
-
-func decodeExit(r *wire.Reader) Exit {
-	var e Exit
-	e.Reason = ExitReasonCode(r.Int())
-	e.Field = Field(r.U16())
-	e.Val = r.U64()
-	e.Addr = mem.Addr(r.U64())
-	e.Write = r.Bool()
-	e.Vector = r.Int()
-	return e
-}
-
-func encodeTables(w *wire.Writer, t *mmu.TablesCheckpoint) {
-	w.Bool(t != nil)
-	if t != nil {
-		t.EncodeTo(w)
-	}
-}
-
-func decodeTables(r *wire.Reader) *mmu.TablesCheckpoint {
-	if !r.Bool() {
-		return nil
-	}
-	t := &mmu.TablesCheckpoint{}
-	t.DecodeFrom(r)
-	return t
-}
-
-func (s *Stack) hypIndex(h *Hypervisor) int {
-	for i, hh := range s.hypList() {
-		if hh == h {
-			return i
+	cp.mem.Wire(c, s.Mem)
+	cp.trace.Wire(c)
+	wire.Topo(c, &cp.cpus, s.CPUs, "x86: CPUs", func(cp **CPUCheckpoint, c *wire.Codec, cpu *CPU) {
+		if c.Decoding() {
+			*cp = cpu.Checkpoint() // keeps the IRQ sink and shadow bitmap
 		}
-	}
-	return -1
+		(*cp).Wire(c)
+	})
+	wire.Ptr(c, &cp.ept, wire.Struct)
+	wire.Topo(c, &cp.hyps, s.hypList(), "x86: levels", func(cp *hypCheckpoint, c *wire.Codec, h *Hypervisor) {
+		cp.wire(c, s, h)
+	})
 }
 
-func vcpuIndex(h *Hypervisor, v *VCPU) (int, int) {
-	for vi, vm := range h.VMs {
-		for ci, c := range vm.VCPUs {
-			if c == v {
-				return vi, ci
-			}
-		}
-	}
-	return -1, -1
+// Wire walks every data field of the core checkpoint.
+func (cp *CPUCheckpoint) Wire(c *wire.Codec) {
+	wire.Bool(c, &cp.nonRoot)
+	wire.Int(c, &cp.level)
+	wire.Int(c, &cp.guestLevel)
+	wire.U64(c, &cp.current.Base)
+	wire.Bool(c, &cp.shadowEnabled)
+	wire.U64(c, &cp.shadowVMCS.Base)
+	wire.Slice(c, &cp.posted, wire.Int)
+	wire.Slice(c, &cp.pendingIRQ, wire.Int)
+	wire.Bool(c, &cp.inIRQ)
+	wire.U64(c, &cp.cycles)
+	wire.Words(c, cp.levelCycles[:])
+	wire.U64(c, &cp.lastAttributed)
 }
 
-// EncodeCheckpoint appends cp's canonical binary form to w. See the ARM
-// side for the contract; a checkpoint carrying a guest IRQ handler
-// records a sticky Writer error.
-func (s *Stack) EncodeCheckpoint(w *wire.Writer, cp *StackCheckpoint) {
-	cp.mem.EncodeTo(w)
-	cp.trace.EncodeTo(w)
-	w.Len(len(cp.cpus))
-	for _, c := range cp.cpus {
-		encodeCPU(w, c)
-	}
-	w.Bool(cp.ept != nil)
-	if cp.ept != nil {
-		cp.ept.EncodeTo(w)
-	}
-	hyps := s.hypList()
-	w.Len(len(cp.hyps))
-	for hi := range cp.hyps {
-		if hi >= len(hyps) {
-			w.Fail("x86: checkpoint has more levels than the stack")
-			return
-		}
-		encodeHyp(s, w, hyps[hi], &cp.hyps[hi])
-	}
+// Wire walks a VM exit.
+func (e *Exit) Wire(c *wire.Codec) {
+	wire.Int(c, &e.Reason)
+	wire.U16(c, &e.Field)
+	wire.U64(c, &e.Val)
+	wire.U64(c, &e.Addr)
+	wire.Bool(c, &e.Write)
+	wire.Int(c, &e.Vector)
 }
 
-func encodeHyp(s *Stack, w *wire.Writer, h *Hypervisor, cp *hypCheckpoint) {
-	w.Len(len(cp.loaded))
-	for i := range cp.loaded {
-		l := &cp.loaded[i]
-		vi, ci := -1, -1
-		if l.vcpu != nil {
-			vi, ci = vcpuIndex(h, l.vcpu)
-			if vi < 0 {
-				w.Fail("x86[%s]: loaded vCPU not found in topology", h.Cfg.Name)
-			}
-		}
-		w.Int(vi)
-		w.Int(ci)
-		w.Int(int(l.mode))
-		w.Bool(l.fullDirty)
-		w.Bool(l.lightEntry)
-		w.Bool(l.skipRIP)
-	}
-	w.Bool(cp.pendingFwd != nil)
-	if cp.pendingFwd != nil {
-		ci := s.hypIndex(cp.pendingFwd.child)
-		if ci < 0 {
-			w.Fail("x86[%s]: forwarded child hypervisor not found in stack", h.Cfg.Name)
-		}
-		w.Int(ci)
-		encodeExit(w, &cp.pendingFwd.exit)
-	}
-	w.Len(len(cp.vms))
-	for i := range cp.vms {
-		vm := &cp.vms[i]
-		encodeTables(w, vm.ept)
-		w.U64(uint64(vm.eptNext))
-		w.U64(uint64(vm.ramBase))
-		w.U64(vm.ramSize)
-		w.Len(len(vm.vcpus))
-		for j := range vm.vcpus {
-			encodeVCPU(w, &vm.vcpus[j])
-		}
-	}
+func (cp *hypCheckpoint) wire(c *wire.Codec, s *Stack, h *Hypervisor) {
+	wire.Slice(c, &cp.loaded, func(c *wire.Codec, l *loadedCtx) {
+		h.wireVCPURef(c, &l.vcpu)
+		wire.Int(c, &l.mode)
+		wire.Bool(c, &l.fullDirty)
+		wire.Bool(c, &l.lightEntry)
+		wire.Bool(c, &l.skipRIP)
+	})
+	wire.Ptr(c, &cp.pendingFwd, func(c *wire.Codec, f *fwd) {
+		s.wireHypRef(c, &f.child)
+		f.exit.Wire(c)
+	})
+	wire.Topo(c, &cp.vms, h.VMs, "x86["+h.Cfg.Name+"]: VMs", func(cp *vmCheckpoint, c *wire.Codec, vm *VM) {
+		wire.Ptr(c, &cp.ept, wire.Struct)
+		wire.U64(c, &cp.eptNext)
+		wire.U64(c, &cp.ramBase)
+		wire.U64(c, &cp.ramSize)
+		wire.Topo(c, &cp.vcpus, vm.VCPUs, "x86: vCPUs", func(cp *vcpuCheckpoint, c *wire.Codec, _ *VCPU) {
+			cp.Wire(c)
+		})
+	})
 }
 
-func encodeVCPU(w *wire.Writer, cp *vcpuCheckpoint) {
+func (cp *vcpuCheckpoint) Wire(c *wire.Codec) {
 	if cp.irqHandler != nil {
-		w.Fail("x86: checkpoint carries a guest IRQ handler (not a boot checkpoint); cannot serialize")
+		c.Fail("x86: checkpoint carries a guest IRQ handler (not a boot checkpoint); cannot serialize")
 		return
 	}
-	w.U64(uint64(cp.vmcs.Base))
-	w.U64(uint64(cp.vmcs12.Base))
-	w.Len(len(cp.pending))
-	for _, v := range cp.pending {
-		w.Int(v)
-	}
-	w.U64(cp.x0)
-	w.U64(cp.injectVec)
-	encodeTables(w, cp.shadowEPT)
-	w.U64(cp.irqCount)
+	wire.U64(c, &cp.vmcs.Base)
+	wire.U64(c, &cp.vmcs12.Base)
+	wire.Slice(c, &cp.pending, wire.Int)
+	wire.U64(c, &cp.x0)
+	wire.U64(c, &cp.injectVec)
+	wire.Ptr(c, &cp.shadowEPT, wire.Struct)
+	wire.U64(c, &cp.irqCount)
 }
 
-// DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint,
-// resolving indices against this stack's live topology. A mismatch or
-// corrupt payload sets the reader's error.
-func (s *Stack) DecodeCheckpoint(r *wire.Reader) *StackCheckpoint {
-	cp := &StackCheckpoint{}
-	cp.mem = s.Mem.DecodeSnapshot(r)
-	cp.trace.DecodeFrom(r)
-	n := r.Len()
-	if r.Err() == nil && n != len(s.CPUs) {
-		r.Fail("x86: checkpoint has %d CPUs, stack has %d", n, len(s.CPUs))
-	}
-	for _, c := range s.CPUs {
-		if r.Err() != nil {
-			break
+// wireVCPURef walks a pointer to one of h's vCPUs as its (VM, vCPU)
+// index pair, (-1, -1) for nil.
+func (h *Hypervisor) wireVCPURef(c *wire.Codec, v **VCPU) {
+	vi, ci := -1, -1
+	for i, vm := range h.VMs {
+		if j := slices.Index(vm.VCPUs, *v); j >= 0 {
+			vi, ci = i, j
 		}
-		cp.cpus = append(cp.cpus, decodeCPU(r, c))
 	}
-	if r.Bool() {
-		t := &mmu.TLBCheckpoint{}
-		t.DecodeFrom(r)
-		cp.ept = t
+	if *v != nil && vi < 0 {
+		c.Fail("x86[%s]: loaded vCPU not found in topology", h.Cfg.Name)
 	}
+	wire.Int(c, &vi)
+	wire.Int(c, &ci)
+	if !c.Decoding() || vi < 0 {
+		return
+	}
+	if vi >= len(h.VMs) || ci < 0 || ci >= len(h.VMs[vi].VCPUs) {
+		c.Fail("x86[%s]: loaded vCPU index (%d,%d) outside topology", h.Cfg.Name, vi, ci)
+		return
+	}
+	*v = h.VMs[vi].VCPUs[ci]
+}
+
+// wireHypRef walks a pointer to one of s's hypervisors as its level index.
+func (s *Stack) wireHypRef(c *wire.Codec, h **Hypervisor) {
 	hyps := s.hypList()
-	n = r.Len()
-	if r.Err() == nil && n != len(hyps) {
-		r.Fail("x86: checkpoint has %d levels, stack has %d", n, len(hyps))
+	i := slices.Index(hyps, *h)
+	if !c.Decoding() && i < 0 {
+		c.Fail("x86: forwarded child hypervisor not found in stack")
 	}
-	for _, h := range hyps {
-		if r.Err() != nil {
-			break
+	wire.Int(c, &i)
+	if c.Decoding() {
+		if i < 0 || i >= len(hyps) {
+			c.Fail("x86: forwarded child index %d outside stack", i)
+			return
 		}
-		cp.hyps = append(cp.hyps, decodeHyp(s, r, h))
+		*h = hyps[i]
 	}
-	return cp
-}
-
-func decodeHyp(s *Stack, r *wire.Reader, h *Hypervisor) hypCheckpoint {
-	cp := hypCheckpoint{}
-	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		vi := r.Int()
-		ci := r.Int()
-		var l loadedCtx
-		l.mode = runMode(r.Int())
-		l.fullDirty = r.Bool()
-		l.lightEntry = r.Bool()
-		l.skipRIP = r.Bool()
-		if vi >= 0 {
-			if vi >= len(h.VMs) || ci < 0 || ci >= len(h.VMs[vi].VCPUs) {
-				r.Fail("x86[%s]: loaded vCPU index (%d,%d) outside topology", h.Cfg.Name, vi, ci)
-				break
-			}
-			l.vcpu = h.VMs[vi].VCPUs[ci]
-		}
-		cp.loaded = append(cp.loaded, l)
-	}
-	if r.Bool() {
-		ci := r.Int()
-		exit := decodeExit(r)
-		hyps := s.hypList()
-		if ci < 0 || ci >= len(hyps) {
-			r.Fail("x86[%s]: forwarded child index %d outside stack", h.Cfg.Name, ci)
-		} else {
-			cp.pendingFwd = &fwd{child: hyps[ci], exit: exit}
-		}
-	}
-	n = r.Len()
-	if r.Err() == nil && n != len(h.VMs) {
-		r.Fail("x86[%s]: checkpoint has %d VMs, stack has %d", h.Cfg.Name, n, len(h.VMs))
-	}
-	for _, vm := range h.VMs {
-		if r.Err() != nil {
-			break
-		}
-		vcp := vmCheckpoint{}
-		vcp.ept = decodeTables(r)
-		vcp.eptNext = mem.Addr(r.U64())
-		vcp.ramBase = mem.Addr(r.U64())
-		vcp.ramSize = r.U64()
-		nv := r.Len()
-		if r.Err() == nil && nv != len(vm.VCPUs) {
-			r.Fail("x86: checkpoint has %d vCPUs, VM has %d", nv, len(vm.VCPUs))
-		}
-		for range vm.VCPUs {
-			if r.Err() != nil {
-				break
-			}
-			vcp.vcpus = append(vcp.vcpus, decodeVCPU(r))
-		}
-		cp.vms = append(cp.vms, vcp)
-	}
-	return cp
-}
-
-func decodeVCPU(r *wire.Reader) vcpuCheckpoint {
-	cp := vcpuCheckpoint{}
-	cp.vmcs = VMCS{Base: mem.Addr(r.U64())}
-	cp.vmcs12 = VMCS{Base: mem.Addr(r.U64())}
-	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		cp.pending = append(cp.pending, r.Int())
-	}
-	cp.x0 = r.U64()
-	cp.injectVec = r.U64()
-	cp.shadowEPT = decodeTables(r)
-	cp.irqCount = r.U64()
-	return cp
 }
