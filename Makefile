@@ -7,7 +7,7 @@
 GO ?= go
 EXAMPLES := quickstart virtecho nestedboot recursive memcached
 
-.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke perfbench-test ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke profile
+.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke perfbench-test ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke profile
 
 FUZZ_TARGETS := FuzzDifferentialNVvsNEVE FuzzFaultPlanRecovery FuzzParsePlan
 FUZZTIME ?= 10s
@@ -50,7 +50,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./internal/fault/ || exit 1; \
 	done
 
-ci: vet fmt-check race examples-smoke fuzz-smoke perfbench-test bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke
+ci: vet fmt-check race examples-smoke fuzz-smoke perfbench-test bench-smoke bench-json benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke
 
 # The benchmark module (perfbench/, its own go.mod) is outside the root
 # module, so `go test ./...` above skips it: run its per-cell digest
@@ -81,7 +81,7 @@ smp-race:
 # One interrupt-storm sweep cell end to end, under the race detector,
 # with adaptive epoch budgets: nevesim smp exits non-zero if the parallel
 # run's equivalence fingerprint diverges from the sequential one, so this
-# covers the sharded-JIT + sense-reversing-barrier path in one cheap cell.
+# covers the sense-reversing-barrier path in one cheap cell.
 smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
 
@@ -98,14 +98,6 @@ jit-equiv-smoke:
 		rm -f .fig2-jit-on.tmp .fig2-jit-off.tmp; \
 		echo "fig2 differs jit-on vs jit-off"; exit 1; \
 	fi
-
-# Parameterized-replay gate: one interrupt-storm cell under the race
-# detector where jit-on parallel, jit-on sequential, and jit-off runs
-# must be byte-identical (TestSMPShardedJITMatchesInterpreted), and a
-# re-arming storm must replay round 1's super-op on every later round
-# instead of minting single-use variants (TestSMPStormRoundsReplay).
-jit-param-smoke:
-	$(GO) test -race ./internal/kvm -run 'TestSMPShardedJITMatchesInterpreted|TestSMPStormRoundsReplay'
 
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the trap hot path, the trace collector, and the

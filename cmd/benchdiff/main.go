@@ -1,7 +1,7 @@
 // Command benchdiff compares two BENCH_<date>.json performance reports
 // (written by `nevesim bench -json`) and fails on wall-time regressions:
 //
-//	benchdiff [-threshold pct] [-smp-threshold pct] [-jit-threshold pp] OLD.json NEW.json
+//	benchdiff [-threshold pct] [-smp-threshold pct] OLD.json NEW.json
 //
 // For every suite present in both reports it prints old/new wall time and
 // the relative change, and exits non-zero if any suite slowed down by
@@ -11,14 +11,7 @@
 // cell regresses when its speedup drops by more than -smp-threshold
 // percent (default 25: a parallel cell's scheduling rides on host core
 // availability, so it is noisier than the deterministic single-vCPU
-// suites); their wall times are printed informationally. Interrupt-storm
-// cells (profiles storm and storm-burst) are additionally judged on their
-// JIT replay hit rate, jit_hits/(jit_hits+jit_misses): the parameterized
-// super-ops make storm traps replayable across rounds, and a hit rate
-// that falls more than -jit-threshold percentage points below the old
-// report's (default 15) fails the diff — the signature of a variant chain
-// degenerating back into single-use recordings. Cells where either side
-// ran without the JIT (zero dispatches) are skipped. Suites or SMP
+// suites); their wall times are printed informationally. Suites or SMP
 // cells that appear in only one report — including a whole SMP section
 // present on one side only — are listed as added/removed rows but never
 // fail the diff, so adding or retiring a suite doesn't break CI.
@@ -38,7 +31,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-smp-threshold pct] [-jit-threshold pp] OLD.json NEW.json")
+	fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] [-smp-threshold pct] OLD.json NEW.json")
 	os.Exit(2)
 }
 
@@ -66,7 +59,6 @@ func bootMode(r bench.Report) string {
 func main() {
 	threshold := flag.Float64("threshold", 10, "max tolerated per-suite wall-time regression, percent")
 	smpThreshold := flag.Float64("smp-threshold", 25, "regression threshold for smp-* suites (parallel wall times are noisier)")
-	jitThreshold := flag.Float64("jit-threshold", 15, "max tolerated JIT hit-rate drop for storm smp cells, percentage points")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -80,8 +72,8 @@ func main() {
 		fmt.Println("note: boot modes differ; the delta includes the checkpoint cache itself")
 	}
 
-	if diffReports(os.Stdout, oldR, newR, *threshold, *smpThreshold, *jitThreshold) {
-		fmt.Fprintf(os.Stderr, "benchdiff: regression above %.0f%% wall time (%.0f%% speedup drop for smp cells, %.0fpp JIT hit-rate drop for storm cells)\n", *threshold, *smpThreshold, *jitThreshold)
+	if diffReports(os.Stdout, oldR, newR, *threshold, *smpThreshold) {
+		fmt.Fprintf(os.Stderr, "benchdiff: regression above %.0f%% wall time (%.0f%% speedup drop for smp cells)\n", *threshold, *smpThreshold)
 		os.Exit(1)
 	}
 }
@@ -90,24 +82,7 @@ func main() {
 // whether any regression crossed a threshold. Entries present in only
 // one report are printed as added/removed rows and never regress — a
 // suite's lifecycle is not a performance event.
-// stormProfile reports whether an SMP cell's workload is one of the
-// interrupt-storm mixes whose JIT hit rate the diff tracks.
-func stormProfile(name string) bool {
-	return name == "storm" || name == "storm-burst"
-}
-
-// hitRate returns a cell's JIT replay hit rate in percent, and whether the
-// cell ran with the JIT at all (bailouts are deliberately excluded: a
-// bailed dispatch re-records, which is the chain adapting, not failing).
-func hitRate(c bench.SMPCell) (float64, bool) {
-	total := c.JITHits + c.JITMisses
-	if total == 0 {
-		return 0, false
-	}
-	return float64(c.JITHits) / float64(total) * 100, true
-}
-
-func diffReports(w io.Writer, oldR, newR bench.Report, threshold, smpThreshold, jitThreshold float64) bool {
+func diffReports(w io.Writer, oldR, newR bench.Report, threshold, smpThreshold float64) bool {
 	oldSuites := make(map[string]bench.SuiteStats, len(oldR.Suites))
 	for _, s := range oldR.Suites {
 		oldSuites[s.Name] = s
@@ -185,20 +160,8 @@ func diffReports(w io.Writer, oldR, newR bench.Report, threshold, smpThreshold, 
 					failed = true
 				}
 			}
-			jitCol := ""
-			if stormProfile(n.Profile) {
-				oldRate, oldOK := hitRate(o)
-				newRate, newOK := hitRate(n)
-				if oldOK && newOK {
-					jitCol = fmt.Sprintf("  jit %.1f%%->%.1f%%", oldRate, newRate)
-					if oldRate-newRate > jitThreshold {
-						mark = "  JIT-REGRESSION"
-						failed = true
-					}
-				}
-			}
-			fmt.Fprintf(w, "%-8s %-12s %10.2fx %10.2fx %+8.1f%%%s%s\n",
-				n.Config, n.Profile, o.SpeedupX, n.SpeedupX, -drop, jitCol, mark)
+			fmt.Fprintf(w, "%-8s %-12s %10.2fx %10.2fx %+8.1f%%%s\n",
+				n.Config, n.Profile, o.SpeedupX, n.SpeedupX, -drop, mark)
 		}
 		// Cells left in the map appear only in the old report.
 		for _, c := range oldR.SMPCells {

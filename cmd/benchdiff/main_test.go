@@ -24,7 +24,7 @@ func TestOneSidedSuites(t *testing.T) {
 		{Name: "fresh", WallMS: 70},
 	}, nil)
 	var out bytes.Buffer
-	if diffReports(&out, oldR, newR, 10, 25, 15) {
+	if diffReports(&out, oldR, newR, 10, 25) {
 		t.Fatalf("one-sided suites failed the diff:\n%s", out.String())
 	}
 	s := out.String()
@@ -42,7 +42,7 @@ func TestRegressionStillFails(t *testing.T) {
 	oldR := report([]bench.SuiteStats{{Name: "micro", WallMS: 100}}, nil)
 	newR := report([]bench.SuiteStats{{Name: "micro", WallMS: 150}}, nil)
 	var out bytes.Buffer
-	if !diffReports(&out, oldR, newR, 10, 25, 15) {
+	if !diffReports(&out, oldR, newR, 10, 25) {
 		t.Fatalf("50%% slowdown passed a 10%% threshold:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
@@ -61,7 +61,7 @@ func TestOneSidedSMPSection(t *testing.T) {
 
 	// Section only in the NEW report.
 	var out bytes.Buffer
-	if diffReports(&out, report(nil, nil), report(nil, cells), 10, 25, 15) {
+	if diffReports(&out, report(nil, nil), report(nil, cells), 10, 25) {
 		t.Fatalf("new-only SMP section failed the diff:\n%s", out.String())
 	}
 	if c := strings.Count(out.String(), "(new cell)"); c != 2 {
@@ -70,7 +70,7 @@ func TestOneSidedSMPSection(t *testing.T) {
 
 	// Section only in the OLD report.
 	out.Reset()
-	if diffReports(&out, report(nil, cells), report(nil, nil), 10, 25, 15) {
+	if diffReports(&out, report(nil, cells), report(nil, nil), 10, 25) {
 		t.Fatalf("old-only SMP section failed the diff:\n%s", out.String())
 	}
 	if c := strings.Count(out.String(), "(cell removed)"); c != 2 {
@@ -90,7 +90,7 @@ func TestSMPCellMix(t *testing.T) {
 		{Config: "smp4", Profile: "fresh", SpeedupX: 2.2},
 	}
 	var out bytes.Buffer
-	if !diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25, 15) {
+	if !diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25) {
 		t.Fatalf("67%% speedup drop passed a 25%% threshold:\n%s", out.String())
 	}
 	s := out.String()
@@ -99,51 +99,5 @@ func TestSMPCellMix(t *testing.T) {
 	}
 	if !strings.Contains(s, "(new cell)") || !strings.Contains(s, "(cell removed)") {
 		t.Errorf("one-sided cells not listed:\n%s", s)
-	}
-}
-
-// TestJITHitRateRegression: storm cells are judged on the JIT replay hit
-// rate — a drop beyond -jit-threshold percentage points fails the diff
-// even with the speedup unchanged, and cells that ran without the JIT on
-// either side are skipped.
-func TestJITHitRateRegression(t *testing.T) {
-	oldCells := []bench.SMPCell{
-		{Config: "smp8", Profile: "storm", SpeedupX: 2.0, JITHits: 60, JITMisses: 40}, // 60%
-	}
-	newCells := []bench.SMPCell{
-		{Config: "smp8", Profile: "storm", SpeedupX: 2.0, JITHits: 10, JITMisses: 90}, // 10%
-	}
-	var out bytes.Buffer
-	if !diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25, 15) {
-		t.Fatalf("50pp hit-rate drop passed a 15pp threshold:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "JIT-REGRESSION") {
-		t.Errorf("hit-rate regression not marked:\n%s", out.String())
-	}
-
-	// Within threshold: passes, but the rates are still printed.
-	newCells[0].JITHits, newCells[0].JITMisses = 55, 45 // 55%, 5pp drop
-	out.Reset()
-	if diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25, 15) {
-		t.Fatalf("5pp hit-rate drop failed a 15pp threshold:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "jit 60.0%->55.0%") {
-		t.Errorf("hit rates not printed:\n%s", out.String())
-	}
-
-	// New side ran with the JIT off: no dispatches, no judgment.
-	newCells[0].JITHits, newCells[0].JITMisses = 0, 0
-	out.Reset()
-	if diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25, 15) {
-		t.Fatalf("jit-off cell failed the hit-rate gate:\n%s", out.String())
-	}
-
-	// Non-storm profiles are never judged on hit rate, whatever the drop.
-	oldCells[0].Profile, newCells[0].Profile = "kernbench", "kernbench"
-	oldCells[0].JITHits, oldCells[0].JITMisses = 90, 10
-	newCells[0].JITHits, newCells[0].JITMisses = 0, 100
-	out.Reset()
-	if diffReports(&out, report(nil, oldCells), report(nil, newCells), 10, 25, 15) {
-		t.Fatalf("non-storm cell was judged on hit rate:\n%s", out.String())
 	}
 }

@@ -126,13 +126,6 @@ type CPU struct {
 	jitPoison func()
 	regsTap   *jit.FileTap
 	regsFID   jit.FileID
-
-	// jitPoisonShared, when non-nil, additionally poisons recordings that
-	// READ machine-shared state (distributor enable bits, another vCPU's
-	// pending queue). Only SMP shard mode sets it: a full-machine engine's
-	// walk covers that state, so poisoning there would cost replay wins
-	// for nothing. See (*CPU).JITPoisonShared.
-	jitPoisonShared func()
 }
 
 // maxTrapDepth bounds the pooled trap nesting (recursive virtualization
@@ -270,14 +263,6 @@ func (c *CPU) SetReg(r SysReg, v uint64) {
 	c.regsTap.Write(int(i))
 	c.regs[i] = v
 }
-
-// RegRaw reads register storage without notifying the JIT read-set tap:
-// no value guard is recorded, so a super-op replays for any live value of
-// r. Only for reads whose value provably cannot influence the recorded
-// sequence (a compare value on a disabled timer line) or whose influence a
-// replay predicate re-validates against live state (JITPred); every other
-// model read uses Reg.
-func (c *CPU) RegRaw(r SysReg) uint64 { return c.regs[StorageReg(r)] }
 
 // HCR returns the live HCR_EL2 value (trap routing consults it constantly).
 func (c *CPU) HCR() uint64 { return c.hcrRead() }

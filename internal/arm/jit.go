@@ -15,9 +15,9 @@ func (c *CPU) SetJIT(j *jit.Engine) {
 	if j != nil {
 		c.jitPoison = j.Poison
 		// Re-attaching an engine this core was already registered with
-		// (the SMP engine swaps shard engines in and out every run) must
-		// reuse the existing file ID: registering the same backing array
-		// twice would leak IDs and split the read/write sets.
+		// (the SMP engine detaches the whole-stack engine for every run)
+		// must reuse the existing file ID: registering the same backing
+		// array twice would leak IDs and split the read/write sets.
 		id := j.FileByBase(&c.regs[0])
 		if id == 0 {
 			id = j.RegisterFile(c.regs[:])
@@ -31,36 +31,6 @@ func (c *CPU) SetJIT(j *jit.Engine) {
 	}
 }
 
-// JITRecording reports whether a JIT capture is in flight on this core's
-// engine; machine code consults it before choosing the parameterized
-// (raw-read plus predicate) path over plain guarded reads.
-func (c *CPU) JITRecording() bool { return c.jit != nil && c.jit.Recording() }
-
-// JITWritten reports whether the active recording has written register r.
-// A register the recorded sequence itself wrote holds a recorder-computed
-// value, so predicate-based parameterization must not cover it (the
-// predicate evaluates before the replay commits its writes).
-func (c *CPU) JITWritten(r SysReg) bool {
-	if c.jit == nil {
-		return false
-	}
-	return c.jit.FileWritten(c.regsFID, int(StorageReg(r)))
-}
-
-// JITPred registers a replay predicate for the active recording; covers
-// names the registers whose influence the predicate re-validates (read
-// with RegRaw during the recording). No-op outside a recording.
-func (c *CPU) JITPred(p jit.Pred, covers ...SysReg) {
-	if c.jit == nil || !c.jit.Recording() {
-		return
-	}
-	refs := make([]jit.FileRef, len(covers))
-	for i, r := range covers {
-		refs[i] = jit.FileRef{F: c.regsFID, Idx: int32(StorageReg(r))}
-	}
-	c.jit.LogPred(p, refs...)
-}
-
 // JITPoison marks the active JIT recording, if any, non-promotable. Model
 // code called from trap handlers whose effects the JIT state walk cannot
 // express (NEVE page accesses, virtual interrupt delivery into a guest,
@@ -68,23 +38,6 @@ func (c *CPU) JITPred(p jit.Pred, covers ...SysReg) {
 func (c *CPU) JITPoison() {
 	if c.jitPoison != nil {
 		c.jitPoison()
-	}
-}
-
-// SetJITSharedPoison installs (or removes, with nil) the shared-state
-// poison hook consulted by JITPoisonShared. The SMP epoch engine binds it
-// for the duration of a parallel run.
-func (c *CPU) SetJITSharedPoison(fn func()) { c.jitPoisonShared = fn }
-
-// JITPoisonShared poisons recordings whose correctness depends on
-// machine-shared state the per-vCPU shard walks exclude: the reader's own
-// in-flight recording is poisoned AND every sibling shard currently
-// recording is flagged (the shared word it read may be mid-update from
-// this goroutine's point of view at replay time). Outside SMP shard mode
-// this is a no-op — the full-machine walk already guards shared state.
-func (c *CPU) JITPoisonShared() {
-	if c.jitPoisonShared != nil {
-		c.jitPoisonShared()
 	}
 }
 

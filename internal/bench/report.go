@@ -151,8 +151,8 @@ func (h Harness) RunSMPReportOpts(names []string, opts SMPSweepOptions) Report {
 	for _, c := range r.SMPCells {
 		name := fmt.Sprintf("smp-%s-%d", c.Profile, c.VCPUs)
 		wall := time.Duration(c.ParWallMS * float64(time.Millisecond))
-		js := trace.JITStats{Hits: c.JITHits, Misses: c.JITMisses, Bailouts: c.JITBailouts}
-		r.Suites = append(r.Suites, suiteStats(name, wall, c.VCPUs, c.VClock, js))
+		// SMP runs are interpreted, so their JIT counters are zero.
+		r.Suites = append(r.Suites, suiteStats(name, wall, c.VCPUs, c.VClock, trace.JITStats{}))
 	}
 	r.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 	return r
@@ -162,19 +162,17 @@ func (h Harness) RunSMPReportOpts(names []string, opts SMPSweepOptions) Report {
 func FormatSMPReport(r Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SMP scale-out report (%s)\n", r.Date)
-	fmt.Fprintf(&b, "%-8s %-12s %6s %8s %10s %10s %9s %8s %8s %10s %18s %9s %6s\n",
+	fmt.Fprintf(&b, "%-8s %-12s %6s %8s %10s %10s %9s %8s %8s %10s %9s %6s\n",
 		"config", "profile", "vcpus", "budget", "seq ms", "par ms", "speedup",
-		"epochs", "distops", "contention", "jit h/m/b", "barr ms", "ident")
+		"epochs", "distops", "contention", "barr ms", "ident")
 	for _, c := range r.SMPCells {
 		budget := fmt.Sprintf("%d", c.FinalBudget)
 		if c.Adaptive {
 			budget = "a:" + budget
 		}
-		fmt.Fprintf(&b, "%-8s %-12s %6d %8s %10.2f %10.2f %8.2fx %8d %8d %10d %18s %9.2f %6v\n",
+		fmt.Fprintf(&b, "%-8s %-12s %6d %8s %10.2f %10.2f %8.2fx %8d %8d %10d %9.2f %6v\n",
 			c.Config, c.Profile, c.VCPUs, budget, c.SeqWallMS, c.ParWallMS, c.SpeedupX,
-			c.Epochs, c.DistOps, c.Contention,
-			fmt.Sprintf("%d/%d/%d", c.JITHits, c.JITMisses, c.JITBailouts),
-			c.BarrierWaitMS, c.Identical)
+			c.Epochs, c.DistOps, c.Contention, c.BarrierWaitMS, c.Identical)
 	}
 	fmt.Fprintf(&b, "total    %10.1f ms\n", r.TotalWallMS)
 	return b.String()

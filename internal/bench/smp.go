@@ -5,7 +5,6 @@ import (
 
 	"github.com/nevesim/neve/internal/kvm"
 	"github.com/nevesim/neve/internal/platform"
-	"github.com/nevesim/neve/internal/trace"
 	"github.com/nevesim/neve/internal/workload"
 )
 
@@ -76,14 +75,6 @@ type SMPCell struct {
 	VClock     uint64 `json:"vclock"`
 	DistOps    uint64 `json:"dist_ops"`
 	Contention uint64 `json:"contention"`
-	// JITHits/JITMisses/JITBailouts are the parallel run's per-vCPU JIT
-	// shard dispatch counters (zero with jit=off). They are host-side
-	// measurements, like the wall times: the sequential run's counters
-	// may differ (cross-shard poison is conservative) without affecting
-	// the equivalence verdict, which compares guest-visible state only.
-	JITHits     uint64 `json:"jit_hits"`
-	JITMisses   uint64 `json:"jit_misses"`
-	JITBailouts uint64 `json:"jit_bailouts"`
 	// BarrierWaitMS is the wall clock the parallel run's coordinator
 	// spent waiting at epoch-end barriers: the synchronization share of
 	// ParWallMS.
@@ -106,9 +97,8 @@ type smpFingerprint struct {
 	stats  kvm.SMPStats
 	cycles []uint64
 	traps  uint64
-	// jit and barrierWait ride along for reporting; equivalent() ignores
-	// both (host-side measurements, not guest-visible state).
-	jit         trace.JITStats
+	// barrierWait rides along for reporting; equivalent() ignores it (a
+	// host-side measurement, not guest-visible state).
 	barrierWait time.Duration
 }
 
@@ -126,7 +116,6 @@ func runSMPCell(spec platform.Spec, p workload.SMPProfile, parallel bool, opts S
 	fp := smpFingerprint{
 		stats:       stats,
 		traps:       s.M.Trace.Total(),
-		jit:         s.SMPJITStats(),
 		barrierWait: s.LastSMPBarrierWait(),
 	}
 	for _, c := range s.M.CPUs {
@@ -188,9 +177,6 @@ func (h Harness) RunSMPSweepOpts(names []string, opts SMPSweepOptions) []SMPCell
 				VClock:        par.stats.VClock,
 				DistOps:       par.stats.DistOps,
 				Contention:    par.stats.Contention,
-				JITHits:       par.jit.Hits,
-				JITMisses:     par.jit.Misses,
-				JITBailouts:   par.jit.Bailouts,
 				BarrierWaitMS: float64(par.barrierWait.Microseconds()) / 1000,
 			}
 			if parWall > 0 {

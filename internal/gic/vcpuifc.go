@@ -96,9 +96,6 @@ func (g *VCPUIfc) eoi(c *arm.CPU, intid int) {
 		case arm.LRStateActive, arm.LRStatePendingActive:
 			c.SetReg(r, 0)
 			if v&arm.LRHW != 0 && g.Dist != nil {
-				// Deactivate mutates shared distributor words the
-				// per-vCPU JIT shard walk excludes.
-				c.JITPoisonShared()
 				g.Dist.Deactivate(arm.LRPIntID(v))
 			}
 			g.maybeMaintenance(c)
@@ -113,9 +110,6 @@ func (g *VCPUIfc) maybeMaintenance(c *arm.CPU) {
 	if c.Reg(arm.ICH_HCR_EL2)&arm.ICHHCRUIE == 0 || g.Dist == nil {
 		return
 	}
-	// The delivery below reads the shared enable bits and asserts into a
-	// per-CPU queue via the distributor; neither is in a shard's walk.
-	c.JITPoisonShared()
 	for i := 0; i < 16; i++ {
 		if arm.LRStateOf(c.Reg(arm.ICHLR(i))) != arm.LRStateInvalid {
 			return

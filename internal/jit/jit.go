@@ -24,19 +24,16 @@
 // observing. A tracked word the sequence only copied into another tracked
 // word (FileCopy: bulk context-save sequences, timer compare values moved
 // between files) is recorded as a src→dst move, optionally src+imm, not as
-// a value guard, so the same super-op replays for any live source value;
-// and a word whose only influence on the sequence is re-validated by a
-// caller-supplied replay predicate (LogPred: the timer's expired/steady
-// evaluation) carries no value guard either. The parameterization degrades
-// soundly: the moment the interpreted sequence observes a parameter word
-// through any read tap — directly, or through a word derived from it — the
-// parameter is upgraded back to a value guard of the origin word, pinning
-// every derived value the sequence could have branched on.
+// a value guard, so the same super-op replays for any live source value.
+// The parameterization degrades soundly: the moment the interpreted
+// sequence observes a parameter word through any read tap — directly, or
+// through a word derived from it — the parameter is upgraded back to a
+// value guard of the origin word, pinning every derived value the sequence
+// could have branched on.
 package jit
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"github.com/nevesim/neve/internal/trace"
 )
@@ -324,9 +321,9 @@ type ptrWord struct {
 }
 
 // paramSrc is an external tracked word a recording consumes as a parameter
-// (copy source or predicate input) rather than as a value guard. val is the
-// value it held at record time — unused by replay unless the parameter is
-// upgraded (guarded) because the sequence observed it.
+// (a copy source) rather than as a value guard. val is the value it held
+// at record time — unused by replay unless the parameter is upgraded
+// (guarded) because the sequence observed it.
 type paramSrc struct {
 	f       FileID
 	idx     int32
@@ -351,23 +348,6 @@ type recMove struct {
 type moveOp struct {
 	src, dst *uint64
 	imm      uint64
-}
-
-// Pred is a replay predicate: a caller-supplied check re-evaluated against
-// live state during replay validation (it must mutate nothing). slack is
-// the recorded cycle advance of the dispatching core across the super-op,
-// for predicates that must hold through the end of the replayed sequence,
-// not just at dispatch (a timer line must still be unexpired after the
-// replay's cycle charge lands). Returning false bails to the interpreter.
-type Pred func(slack uint64) bool
-
-// FileRef names one tracked word a predicate re-validates; LogPred uses it
-// to poison recordings whose predicate inputs were written by the sequence
-// itself (the predicate would read pre-replay values) and to let chain
-// eviction recognize value guards a predicate supersedes.
-type FileRef struct {
-	F   FileID
-	Idx int32
 }
 
 // maxFileWords bounds a tracked file so the first-access bitmaps are two
@@ -584,42 +564,6 @@ func (e *Engine) FileCopy(srcF FileID, srcIdx int, dstF FileID, dstIdx int, imm 
 	}
 }
 
-// FileWritten reports whether the active recording has written tracked
-// word (f, idx). Machine code uses it to decide between the parameterized
-// path (raw reads plus a replay predicate) and the guarded path: a word
-// the sequence itself wrote holds a recorder-determined value that a
-// predicate evaluated before commit would not see.
-func (e *Engine) FileWritten(f FileID, idx int) bool {
-	if e.rec == nil || f <= 0 {
-		return false
-	}
-	return e.wrSeen[int(f)-1][idx>>6]&(uint64(1)<<uint(idx&63)) != 0
-}
-
-// LogPred records a replay predicate for the active recording: p is re-
-// evaluated against live state on every replay attempt and bails on false.
-// covers names the tracked words whose influence on the sequence the
-// predicate re-validates; the recording must not have written them (the
-// predicate runs before the replay commits, so it would read stale values
-// — such a recording poisons), their reads during the recording should go
-// through raw accessors (a read tap would add a redundant value guard and
-// defeat the parameterization), and chain eviction treats a covered word's
-// value guard in an older variant as superseded.
-func (e *Engine) LogPred(p Pred, covers ...FileRef) {
-	rec := e.rec
-	if rec == nil || rec.poisoned {
-		return
-	}
-	for _, r := range covers {
-		if r.F <= 0 || e.FileWritten(r.F, int(r.Idx)) {
-			rec.poisoned = true
-			return
-		}
-	}
-	rec.preds = append(rec.preds, p)
-	rec.pwords = append(rec.pwords, covers...)
-}
-
 // superOp is the compiled form of one recorded trap sequence.
 type superOp struct {
 	exc     [ExcWords]uint64
@@ -639,13 +583,8 @@ type superOp struct {
 	// still holds its pre-replay value when read, matching the interpreted
 	// sequence, which read each source before writing it.
 	moves []moveOp
-	// preds are the replay predicates (LogPred); slack is the recorded
-	// cycle advance of the dispatching core, passed to each predicate.
-	preds []Pred
-	slack uint64
-	// pwords are the parameterized words — move sources and predicate-
-	// covered words — used by chain eviction to recognize an older
-	// variant's value guard that this variant supersedes.
+	// pwords are the move sources, used by chain eviction to recognize an
+	// older variant's value guard that this variant supersedes.
 	pwords []*uint64
 	probes []Probe
 	// tlbGen is the TLB generation at which probes were last known valid;
@@ -667,7 +606,6 @@ type entry struct {
 
 // recording is one in-flight capture.
 type recording struct {
-	cpu      int
 	exc      [ExcWords]uint64
 	ent      *entry
 	guard    []uint64
@@ -676,8 +614,6 @@ type recording struct {
 	fwrites  []fileWord
 	params   []paramSrc
 	moves    []recMove
-	preds    []Pred
-	pwords   []FileRef
 	probes   []Probe
 	poisoned bool
 }
@@ -720,22 +656,7 @@ type Engine struct {
 	sfreads, sfwrites     []fileWord
 	sparams               []paramSrc
 	smoves                []recMove
-	spreds                []Pred
-	spwords               []FileRef
 	sprobes               []Probe
-
-	// asyncPoison is the cross-goroutine poison flag for per-vCPU shard
-	// engines: a sibling vCPU that mutates state outside every shard's
-	// walk (shared memory, the distributor, another vCPU's chain) sets it
-	// with PoisonAsync, and the owning goroutine consumes it in EndRecord
-	// before promotion. It is cleared when a recording begins, so a
-	// mutation that fully preceded the recording (whose capture already
-	// saw the post-mutation state) cannot poison it spuriously.
-	asyncPoison atomic.Bool
-	// recGauge, when set, counts this engine's in-flight recordings in a
-	// caller-shared atomic: the SMP fan-out taps consult it to skip the
-	// poison broadcast entirely while no shard is recording.
-	recGauge *int64
 }
 
 // New returns an engine over the given walk sources. threshold <= 0 selects
@@ -807,7 +728,7 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 	}
 	ent.count++
 	if ent.count >= e.threshold {
-		e.beginRecord(cpu, exc, ent)
+		e.beginRecord(exc, ent)
 		return 0, Record
 	}
 	return 0, Miss
@@ -822,11 +743,6 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 	for i := range op.freads {
 		g := &op.freads[i]
 		if *g.p != g.val {
-			return 0, false
-		}
-	}
-	for _, p := range op.preds {
-		if !p(op.slack) {
 			return 0, false
 		}
 	}
@@ -912,22 +828,12 @@ func (e *Engine) walk(w *W) {
 
 // beginRecord starts capturing the in-flight trap: it snapshots the guard
 // vector, clocks, and trace counters, and arms the poison taps.
-func (e *Engine) beginRecord(cpu int, exc *[ExcWords]uint64, ent *entry) {
-	// A sibling-shard mutation that fully preceded this recording is
-	// already reflected in the capture below; only mutations from here to
-	// EndRecord may poison, so the async flag starts clean. The gauge goes
-	// up first: a mutation racing with the capture walk still broadcasts.
-	if e.recGauge != nil {
-		atomic.AddInt64(e.recGauge, 1)
-	}
-	e.asyncPoison.Store(false)
-	rec := &recording{cpu: cpu, exc: *exc, ent: ent}
+func (e *Engine) beginRecord(exc *[ExcWords]uint64, ent *entry) {
+	rec := &recording{exc: *exc, ent: ent}
 	rec.freads = e.sfreads[:0]
 	rec.fwrites = e.sfwrites[:0]
 	rec.params = e.sparams[:0]
 	rec.moves = e.smoves[:0]
-	rec.preds = e.spreds[:0]
-	rec.pwords = e.spwords[:0]
 	rec.probes = e.sprobes[:0]
 	for i := range e.rdSeen {
 		e.rdSeen[i] = [2]uint64{}
@@ -960,17 +866,6 @@ func (e *Engine) EndRecord(retVal uint64) {
 	e.rec = nil
 	if e.hooks.Disarm != nil {
 		e.hooks.Disarm()
-	}
-	// Consume the cross-goroutine poison before deciding promotion, then
-	// drop out of the broadcast set. The interpreted handler has returned,
-	// so every sibling mutation that could have influenced it has already
-	// set the flag (the epoch engine serializes genuinely-shared effects
-	// at barriers; the flag covers the conservative fan-out taps).
-	if e.asyncPoison.Swap(false) {
-		rec.poisoned = true
-	}
-	if e.recGauge != nil {
-		atomic.AddInt64(e.recGauge, -1)
 	}
 	// The counter log must be disarmed on every path out of this function;
 	// EndCounterLog below reads it before this runs. The provenance tables
@@ -1049,10 +944,6 @@ func (e *Engine) EndRecord(retVal uint64) {
 		moves = append(moves, moveOp{src: src, dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm})
 		pwords = append(pwords, src)
 	}
-	for i := range rec.pwords {
-		r := &rec.pwords[i]
-		pwords = append(pwords, &e.files[r.F-1][r.Idx])
-	}
 	fwrites := make([]ptrWord, 0, len(rec.fwrites))
 	for i := range rec.fwrites {
 		fw := &rec.fwrites[i]
@@ -1070,17 +961,11 @@ func (e *Engine) EndRecord(retVal uint64) {
 		freads:  freads,
 		fwrites: fwrites,
 		moves:   moves,
-		preds:   append([]Pred(nil), rec.preds...),
 		pwords:  pwords,
 		probes:  append([]Probe(nil), rec.probes...),
 		clocks:  clocks,
 		retVal:  retVal,
 		next:    rec.ent.ops,
-	}
-	for i := range clocks {
-		if clocks[i].CPU == rec.cpu {
-			op.slack = clocks[i].DCycles
-		}
 	}
 	if e.hooks.TLBGen != nil {
 		// A promoted recording saw no TLB mutation (mutation poisons), so
@@ -1100,7 +985,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 	rec.ent.ops = op
 	rec.ent.nops++
 	rec.ent.count = 0
-	if len(op.moves)+len(op.preds) > 0 {
+	if len(op.moves) > 0 {
 		e.evictSuperseded(rec.ent, op)
 	}
 }
@@ -1109,7 +994,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 // engine for the next recording.
 func (e *Engine) reclaimScratch(rec *recording) {
 	e.sfreads, e.sfwrites, e.sprobes = rec.freads[:0], rec.fwrites[:0], rec.probes[:0]
-	e.sparams, e.smoves, e.spreds, e.spwords = rec.params[:0], rec.moves[:0], rec.preds[:0], rec.pwords[:0]
+	e.sparams, e.smoves = rec.params[:0], rec.moves[:0]
 }
 
 // resetProv clears the provenance tables entry-by-entry from the
@@ -1141,10 +1026,6 @@ func (e *Engine) AbortRecord() {
 	if e.hooks.Disarm != nil {
 		e.hooks.Disarm()
 	}
-	e.asyncPoison.Store(false)
-	if e.recGauge != nil {
-		atomic.AddInt64(e.recGauge, -1)
-	}
 	e.hooks.Trace.AbortCounterLog()
 	e.reclaimScratch(rec)
 	e.resetProv(rec)
@@ -1157,31 +1038,6 @@ func (e *Engine) Poison() {
 	if e.rec != nil {
 		e.rec.poisoned = true
 	}
-}
-
-// PoisonAsync marks any in-flight recording non-promotable from another
-// goroutine. Unlike Poison it only sets an atomic flag — the owning
-// goroutine consumes it in EndRecord — so sibling vCPU shards can
-// broadcast "I touched state outside your walk" without a data race on
-// the recording itself. Safe to call at any time; a set flag with no
-// recording in flight is cleared by the next beginRecord.
-func (e *Engine) PoisonAsync() { e.asyncPoison.Store(true) }
-
-// SetRecGauge points the engine at a caller-shared atomic counting its
-// in-flight recordings (+1 at beginRecord, -1 when the recording ends on
-// any path). The SMP fan-out taps read the summed gauge to skip the
-// poison broadcast while no shard is recording. Pass nil to detach.
-func (e *Engine) SetRecGauge(g *int64) { e.recGauge = g }
-
-// SetTrace rebinds the trace collector the engine logs counter deltas
-// against. The epoch engine points each vCPU shard at that vCPU's
-// per-run trace shard and restores the parent at teardown. Must not be
-// called with a recording in flight.
-func (e *Engine) SetTrace(t *trace.Collector) {
-	if e.rec != nil {
-		panic("jit: SetTrace with a recording in flight")
-	}
-	e.hooks.Trace = t
 }
 
 // Recording reports whether a capture is in flight.
@@ -1218,10 +1074,6 @@ func (e *Engine) Quiesce() {
 	e.rec = nil
 	if e.hooks.Disarm != nil {
 		e.hooks.Disarm()
-	}
-	e.asyncPoison.Store(false)
-	if e.recGauge != nil {
-		atomic.AddInt64(e.recGauge, -1)
 	}
 	e.hooks.Trace.AbortCounterLog()
 	e.reclaimScratch(rec)
@@ -1278,11 +1130,10 @@ func (e *Engine) evictSuperseded(ent *entry, op *superOp) {
 // supersedes reports whether parameterized variant op covers plain variant
 // v: identical recorded behavior (walk guard, post state, writes, clocks,
 // probes, counters, return value), with v's extra value guards falling only
-// on words op treats as parameters. Every state v would replay in, op
-// replays in too — op's predicates re-validate exactly the conditions v's
-// stale value guards once pinned.
+// on words op reads as move sources. Every state v would replay in, op
+// replays in too.
 func supersedes(op, v *superOp) bool {
-	if len(v.moves) != 0 || len(v.preds) != 0 || v.exc != op.exc || v.retVal != op.retVal {
+	if len(v.moves) != 0 || v.exc != op.exc || v.retVal != op.retVal {
 		return false
 	}
 	if !slices.Equal(v.guard, op.guard) || !slices.Equal(v.gshapes, op.gshapes) || !slices.Equal(v.post, op.post) {

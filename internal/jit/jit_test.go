@@ -615,54 +615,6 @@ func TestCopyWordUntapped(t *testing.T) {
 	}
 }
 
-// TestPredSlackAndBail pins replay predicates: each predicate re-evaluates
-// against live state with the recording's own cycle advance as slack, a
-// true predicate replays, and a false one bails.
-func TestPredSlackAndBail(t *testing.T) {
-	m := newFake(t, 1, fakeOpts{})
-	allow := true
-	var gotSlack uint64
-	handler := func() uint64 {
-		m.eng.LogPred(func(slack uint64) bool {
-			gotSlack = slack
-			return allow
-		}, FileRef{F: m.tap.id, Idx: 3})
-		m.clock.Cycles += 100
-		return 0
-	}
-	m.trap(25, handler) // Record
-	if _, st := m.trap(25, handler); st != Hit {
-		t.Fatalf("pred-true replay did not hit")
-	}
-	if gotSlack != 100 {
-		t.Fatalf("predicate saw slack=%d, want the recorded 100-cycle advance", gotSlack)
-	}
-	allow = false
-	if _, st := m.trap(25, handler); st == Hit {
-		t.Fatalf("pred-false replay hit")
-	}
-	if m.eng.Stats().Bailouts != 1 {
-		t.Fatalf("pred-false replay was not a bailout (stats %+v)", m.eng.Stats())
-	}
-}
-
-// TestPredCoverWrittenPoisons: a predicate covering a word the recording
-// itself wrote would read stale values at replay time, so the recording
-// must not promote.
-func TestPredCoverWrittenPoisons(t *testing.T) {
-	m := newFake(t, 1, fakeOpts{})
-	handler := func() uint64 {
-		m.file[3] = 1
-		m.tap.Write(3)
-		m.eng.LogPred(func(uint64) bool { return true }, FileRef{F: m.tap.id, Idx: 3})
-		return 0
-	}
-	m.trap(26, handler)
-	if _, ops := m.eng.Entries(); ops != 0 {
-		t.Fatalf("predicate over a recording-written word was promoted")
-	}
-}
-
 // TestEvictSuperseded pins chain eviction: promoting a parameterized
 // variant drops an older single-value variant it covers, and the surviving
 // variant hits for every source value including the evicted one's.
@@ -703,13 +655,12 @@ func TestEvictSuperseded(t *testing.T) {
 }
 
 // TestParamReplayNoAlloc extends the 0-alloc gate to the parameterized
-// path: a replay that runs moves and predicates allocates nothing.
+// path: a replay that runs moves allocates nothing.
 func TestParamReplayNoAlloc(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{})
 	handler := func() uint64 {
 		CopyWord(m.tap, 2, m.tap, 8)
 		m.file[8] = m.file[2]
-		m.eng.LogPred(func(uint64) bool { return true }, FileRef{F: m.tap.id, Idx: 2})
 		m.clock.Cycles += 50
 		return 3
 	}

@@ -214,11 +214,6 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 		// slots the new workload needs for its own recordings.
 		s.jit.Reset()
 	}
-	// The SMP shard engines hold super-ops guarded against the pre-restore
-	// state; invalidate them for the same reason.
-	for _, sh := range s.smpShards {
-		sh.Reset()
-	}
 	s.M.Restore(cp.machine)
 	n := 1
 	if s.GuestHyp != nil {

@@ -16,7 +16,7 @@ import (
 // Each vCPU runs its trap-and-emulate stream on its own worker; the run
 // is divided into epochs of at most EpochBudget guest cycles. Within an
 // epoch a vCPU touches only per-vCPU state (its CPU model, contexts,
-// VNCR page, private Stage-2 TLB, trace shard, JIT shard), so epochs of
+// VNCR page, private Stage-2 TLB, trace shard), so epochs of
 // different vCPUs may execute genuinely in parallel. Every shared-state
 // effect — SGI/IPI fan-out through the distributor, shared guest RAM,
 // the shared virtio device — is queued (or parked as a thunk) and merged
@@ -334,9 +334,9 @@ func (s *Stack) parallelSafe(n int) bool {
 //     make miss patterns independent of sibling scheduling);
 //   - machine memory switches to concurrent mode (drops the last-page
 //     cache, a pure performance shortcut);
-//   - when the stack has a JIT, each running CPU switches from the
-//     whole-stack engine (whose walk and chain state span all cores) to
-//     its persistent per-vCPU shard engine — see jitshard.go;
+//   - each running CPU detaches the trace-JIT: the whole-stack engine's
+//     walk and chain state span all cores, so SMP runs are interpreted
+//     and the teardown re-attaches it;
 //   - every VM's Stage-2 tables are built up front: the lazy build in
 //     vmVTTBR mutates the VM and allocates memory, so two vCPUs of one
 //     VM reaching it in the same parallel epoch would race.
@@ -352,9 +352,6 @@ func (s *Stack) smpSetup(n int) func() {
 	parent := m.Trace
 	shards := make([]*trace.Collector, n)
 	oldS2 := make([]arm.Stage2, n)
-	for len(s.smpS2) < n {
-		s.smpS2 = append(s.smpS2, nil)
-	}
 	for i := 0; i < n; i++ {
 		c := m.CPUs[i]
 		sh := trace.NewCollector(parent.Recording())
@@ -365,28 +362,18 @@ func (s *Stack) smpSetup(n int) func() {
 		shards[i] = sh
 		c.Trace = sh
 		oldS2[i] = c.S2
-		s2 := &mmu.Stage2{Mem: m.Mem, TLB: mmu.NewTLB(512), WalkCost: m.S2.WalkCost}
-		s.smpS2[i] = s2
-		c.S2 = s2
+		c.S2 = &mmu.Stage2{Mem: m.Mem, TLB: mmu.NewTLB(512), WalkCost: m.S2.WalkCost}
 		c.SetJIT(nil)
-	}
-	var detachJIT func()
-	if s.jit != nil {
-		detachJIT = s.smpAttachJIT(n, shards)
 	}
 	m.Mem.SetConcurrent(true)
 	return func() {
 		m.Mem.SetConcurrent(false)
-		if detachJIT != nil {
-			// Before the trace shards merge: detaching quiesces the shard
-			// engines, which may log to the shard collectors.
-			detachJIT()
-		}
 		for i := 0; i < n; i++ {
 			c := m.CPUs[i]
 			parent.Merge(shards[i])
 			c.Trace = parent
 			c.S2 = oldS2[i]
+			c.SetJIT(s.jit)
 		}
 	}
 }

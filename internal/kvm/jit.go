@@ -185,10 +185,7 @@ func (src *stackSource) walkVM(w *jit.W, vm *VM) {
 	}
 }
 
-// walkVCPU pins one vCPU's replay-relevant state. It is shared between the
-// whole-stack walk and the per-vCPU SMP shard walk (jitshard.go): every
-// word it visits is private to the vCPU, so a shard may Word (and restore)
-// it without racing sibling segments.
+// walkVCPU pins one vCPU's replay-relevant state.
 func walkVCPU(w *jit.W, v *VCPU) {
 	if v.EL1.jt == nil || v.VEL2.jt == nil || v.VirtEL1.jt == nil || v.PageCtx.jt == nil {
 		w.Fail()
@@ -318,9 +315,6 @@ func (s *Stack) InstallJIT(threshold int) {
 		c.SetJIT(eng)
 	}
 	s.jit = eng
-	// The SMP shard engines (jitshard.go) are built lazily with the same
-	// threshold.
-	s.jitThreshold = threshold
 }
 
 // JIT returns the stack's trace-JIT engine, or nil.
@@ -334,3 +328,7 @@ func (s *Stack) JITStats() trace.JITStats {
 	}
 	return s.jit.Stats()
 }
+
+// SMPJITStats returns zero: SMP runs are interpreted (smpSetup detaches
+// the engine for the run), so no engine dispatches inside one.
+func (s *Stack) SMPJITStats() trace.JITStats { return trace.JITStats{} }

@@ -60,9 +60,6 @@ func (h *Hypervisor) handlePSCI(c *arm.CPU, lc *loadedCtx, imm uint16) (uint64, 
 		c.Work(workHypercall)
 		return ret(PSCIVersionValue)
 	case immPSCICPUOn:
-		// Powering on another vCPU mutates its Online/loaded state:
-		// sibling-vCPU words outside the caller's JIT shard walk.
-		c.JITPoisonShared()
 		c.Work(workPSCIOn)
 		target := int(v.x0)
 		if target < 0 || target >= len(v.VM.VCPUs) {

@@ -3,13 +3,16 @@ package kvm
 import (
 	"reflect"
 	"testing"
+
+	"github.com/nevesim/neve/internal/arm"
+	"github.com/nevesim/neve/internal/trace"
 )
 
-// Per-vCPU JIT shard coverage: parallel segments now dispatch through
-// sharded trace-JIT engines instead of dropping to the interpreter, and
-// the shards must be invisible — JIT-on parallel matches JIT-on
-// sequential matches the interpreted (JIT-off) run, byte for byte, on
-// every guest-visible number.
+// SMP runs on a JIT-installed stack are interpreted: smpSetup detaches
+// the whole-stack engine for the run and re-attaches it afterwards. The
+// stack's JIT must be invisible to the run — JIT-on parallel matches
+// JIT-on sequential matches the JIT-off run, byte for byte, on every
+// guest-visible number — and must serve single-vCPU runs again after it.
 
 // smpStorm is a per-vCPU interrupt-storm program: timer ticks, device
 // IRQs, and IPIs all in flight at once, with the IRQ streams recorded for
@@ -68,7 +71,7 @@ func (a smpStormResult) mustMatch(t *testing.T, b smpStormResult, label string) 
 	}
 }
 
-func TestSMPShardedJITMatchesInterpreted(t *testing.T) {
+func TestSMPJITStackMatchesInterpreted(t *testing.T) {
 	const n, rounds = 4, 12
 	mk := func(jit bool) *Stack {
 		s := NewVMStack(StackOptions{CPUs: n})
@@ -105,105 +108,36 @@ func TestSMPShardedJITMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// smpSteadyStorm arms each vCPU's timer once, lets it fire, then hammers
-// IPIs and hypercalls. After the single deadline the timer line sits in
-// its steady (expired, fired, IStat-set) state — the simplest recordable
-// shape, with no fresh compare value in flight. (A perpetually re-arming
-// storm is also replayable now that compare values ride parameter slots;
-// TestSMPStormRoundsReplay pins that case.)
-func smpSteadyStorm(n, rounds int) []func(g *SMPGuest) {
-	progs := make([]func(g *SMPGuest), n)
-	for i := 0; i < n; i++ {
-		i := i
-		progs[i] = func(g *SMPGuest) {
-			g.OnIRQ(func(int) {})
-			g.ArmTimer(100)
-			g.Work(300) // deadline passes here
-			for r := 0; r < rounds; r++ {
-				g.Work(400)
-				g.SendIPI((i+1)%n, r%MaxGuestSGI)
+// TestSMPRunDetachesJIT pins the SMP/JIT contract: no engine dispatches
+// while an SMP run is in flight (the whole-stack counters and the
+// SMP-run counters both stand still), and the whole-stack engine is
+// re-attached afterwards, so single-vCPU runs on the same stack replay
+// super-ops again.
+func TestSMPRunDetachesJIT(t *testing.T) {
+	const n, rounds = 4, 12
+	s := NewVMStack(StackOptions{CPUs: n})
+	s.InstallJIT(2)
+	total := func() trace.JITStats { return s.JITStats().Add(s.SMPJITStats()) }
+
+	before := total()
+	runSMPStorm(s, n, rounds, SMPOptions{EpochBudget: 2000, Parallel: true})
+	if after := total(); after != before {
+		t.Fatalf("an engine dispatched during the SMP run: %+v -> %+v", before, after)
+	}
+
+	// The storm left vCPU 0's virtual timer enabled, and evaluating an
+	// enabled line poisons every recording: the guest disarms it first.
+	hits := s.JITStats().Hits
+	for i := 0; i < 3; i++ {
+		s.RunGuest(0, func(g *GuestCtx) {
+			g.CPU.MSR(arm.CNTV_CTL_EL0, 0)
+			for j := 0; j < 8; j++ {
 				g.Hypercall()
-				g.Yield()
 			}
-		}
+		})
 	}
-	return progs
-}
-
-func TestSMPShardsEngageAndPersist(t *testing.T) {
-	const n, rounds = 4, 16
-	s := NewVMStack(StackOptions{CPUs: n})
-	s.InstallJIT(2)
-	opts := SMPOptions{EpochBudget: 2000, Parallel: true}
-
-	s.RunSMPOpts(smpSteadyStorm(n, rounds), opts)
-	first := s.SMPJITStats()
-	if first.Hits == 0 {
-		t.Fatalf("shards never replayed with a fired timer in steady state: %+v", first)
-	}
-
-	// Shards persist across runs: the second run replays traces the first
-	// one recorded, so hits must grow.
-	s.RunSMPOpts(smpSteadyStorm(n, rounds), opts)
-	second := s.SMPJITStats()
-	if second.Hits <= first.Hits {
-		t.Fatalf("second run reused nothing: %+v -> %+v", first, second)
-	}
-}
-
-// smpShardOps sums compiled super-op counts across a stack's shard
-// engines.
-func smpShardOps(s *Stack) int {
-	ops := 0
-	for _, sh := range s.smpShards {
-		_, n := sh.Entries()
-		ops += n
-	}
-	return ops
-}
-
-// TestSMPStormRoundsReplay pins the parameterized-replay contract on the
-// re-arming storm: every round arms a fresh absolute timer deadline, so
-// before parameter slots each round's world switch guarded a compare
-// value that never recurred — variants compiled in round 1 could not
-// replay in round 2. Now the compare value moves through a parameter
-// slot, so the super-ops promoted from the first rounds serve every later
-// round: hits must dominate misses after warm-up, and the variant
-// population must stay flat instead of growing with the round count.
-func TestSMPStormRoundsReplay(t *testing.T) {
-	const n = 4
-	s := NewVMStack(StackOptions{CPUs: n})
-	s.InstallJIT(2)
-	opts := SMPOptions{EpochBudget: 2000, Parallel: true}
-
-	// Warm-up: enough rounds for every per-round trap sequence to record
-	// and promote (threshold 2).
-	runSMPStorm(s, n, 3, opts)
-	warm := s.SMPJITStats()
-	warmOps := smpShardOps(s)
-	if warmOps == 0 {
-		t.Fatalf("warm-up promoted nothing: %+v", warm)
-	}
-
-	const rounds = 12
-	runSMPStorm(s, n, rounds, opts)
-	after := s.SMPJITStats()
-	afterOps := smpShardOps(s)
-
-	hits := after.Hits - warm.Hits
-	misses := after.Misses - warm.Misses
-	if hits == 0 {
-		t.Fatalf("no round replayed a warm-up super-op: %+v -> %+v", warm, after)
-	}
-	if hits <= misses {
-		t.Errorf("later rounds mostly missed (%d hits, %d misses): fresh compare values are not riding parameter slots", hits, misses)
-	}
-	// A per-round value guard would mint ~one variant per cause per round
-	// until the chains saturate; parameterized variants are reused, so the
-	// population may only grow by a constant (late-promoting causes), not
-	// with the round count.
-	if grown := afterOps - warmOps; grown >= rounds*n {
-		t.Errorf("variant population grew with the rounds (%d -> %d ops): super-ops are single-use again", warmOps, afterOps)
+	if got := s.JITStats().Hits; got <= hits {
+		t.Fatalf("whole-stack engine not re-attached after the SMP run: hits %d -> %d", hits, got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/machine"
 	"github.com/nevesim/neve/internal/mem"
-	"github.com/nevesim/neve/internal/mmu"
 )
 
 // Stack is an assembled virtualization stack on simulated hardware: the
@@ -28,27 +27,7 @@ type Stack struct {
 
 	// jit is the trace-JIT engine, when installed (InstallJIT).
 	jit *jit.Engine
-	// jitThreshold is InstallJIT's promotion threshold, reused when the
-	// per-vCPU SMP shard engines are built lazily (jitshard.go).
-	jitThreshold int
 
-	// smpShards/smpSrcs/smpTables are the persistent per-vCPU JIT shard
-	// engines, their walk sources, and the shared identity tables
-	// (jitshard.go). Shards outlive individual SMP runs so compiled
-	// super-ops replay across runs and sweep cells.
-	smpShards []*jit.Engine
-	smpSrcs   []*vcpuSource
-	smpTables *shardTables
-	// smpS2 holds each running core's private per-run Stage-2 walker;
-	// the shard TLB hooks resolve the current TLB through it at call
-	// time because the walker is rebuilt every run.
-	smpS2 []*mmu.Stage2
-	// smpRecs counts shard recordings in flight (atomic); it gates the
-	// run-long fan-out poison taps so they cost one load when idle.
-	smpRecs int64
-	// smpGenBase offsets shard TLB generations per run so stale probe
-	// sets never validate against a fresh TLB's restarted counter.
-	smpGenBase uint64
 	// smpBarrierWait is the wall clock the coordinator spent waiting at
 	// epoch-end barriers during the last SMP run. Wall time, not virtual
 	// time — it lives here, outside SMPStats, so the parallel/sequential

@@ -15,10 +15,6 @@ import (
 // vgicSendSGI emulates a guest's ICC_SGI1R_EL1 write: mark the SGI pending
 // on the target vCPU and kick the physical core it runs on.
 func (h *Hypervisor) vgicSendSGI(c *arm.CPU, vm *VM, target, intid int) {
-	// The target's pending queue is another vCPU's state: outside the
-	// sender's per-vCPU JIT shard walk, so no shard recording may span
-	// this emulation.
-	c.JITPoisonShared()
 	c.Work(workVGICEmu)
 	if target < 0 || target >= len(vm.VCPUs) {
 		panic(fmt.Sprintf("kvm[%s]: SGI to nonexistent vcpu %d", h.Cfg.Name, target))

@@ -72,10 +72,6 @@ func (m hypRingMem) Write64(a mem.Addr, v uint64) {
 
 // virtioMMIO emulates the virtio-mmio register block.
 func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
-	// The device block is VM-wide shared state (guarded but never
-	// restored by per-vCPU JIT shard walks): shard recordings must not
-	// span its emulation.
-	c.JITPoisonShared()
 	vm := v.VM
 	if vm.virtio == nil {
 		vm.virtio = &vmVirtio{}

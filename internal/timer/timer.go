@@ -10,7 +10,6 @@ package timer
 import (
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/gic"
-	"github.com/nevesim/neve/internal/jit"
 )
 
 // Timer control register bits.
@@ -104,133 +103,36 @@ var lines = []timerLine{
 // expired, unmasked timers as PPIs on the core. The machine calls it at
 // synchronization points.
 //
-// During a JIT recording each line takes one of two paths. If the
-// recording has not written the line's compare value, the evaluation is
-// parameterized: cval is read raw — no value guard, so a re-armed deadline
-// does not pin the super-op to one round — and the branch taken is
-// re-validated live at replay by a predicate (JITPred) instead. CNTVOFF
-// splits the same way for the virtual line: unwritten, the predicate reads
-// it raw and live; written by the recording (the world switch reprograms
-// the offset just before re-enabling the guest timer), the value this
-// evaluation observed is a recorder-computed constant, which the predicate
-// closure captures by value. The control register stays a guarded read
-// either way: it pins which branch the recorded constants were computed
-// from (the IStat write-back is ctl-derived), and for a line whose compare
-// value the recording itself reprogrammed, ctl and cval are recorder-
-// computed constants, so the pre-parameterization guarded path still
-// applies.
-//
-// The parameterized branches and their predicates:
-//
-//   - disabled: cval is dead — the guarded ctl pins Enable==0 and the
-//     IStat-clearing write-back. No predicate at all.
-//   - steady (expired, IStat set, this cval already fired): a no-op whose
-//     replay is sound while the live line is still steady. The counter is
-//     monotone, so "expired at dispatch" implies expired at the recorded
-//     evaluation point mid-sequence.
-//   - armed, not yet expired: the IStat-clearing no-op replays while the
-//     line still has not expired at the END of the replayed sequence —
-//     the predicate adds the super-op's cycle charge (slack) before
-//     comparing, because the line could expire mid-sequence, where the
-//     interpreter would have fired it.
-//
-// A firing evaluation still poisons: the fire mutates firedAt and asserts
-// a PPI, neither of which a parameterized replay reproduces.
+// Under a JIT recording a disabled line is guarded by its control
+// register alone: its compare value and CNTVOFF cannot influence the
+// outcome, so they are not read. An enabled line's outcome depends on the
+// live counter, which no guard pins, so evaluating one poisons the
+// recording.
 func (t *Timer) Check(c *arm.CPU) {
-	recording := c.JITRecording()
 	for li := range lines {
 		l := &lines[li]
 		ctl := c.Reg(l.ctl)
-		cnt := c.Cycles()
-		param := recording && !c.JITWritten(l.cval)
-		var off uint64
-		offLive := false
-		if l.virtual {
-			if param && !c.JITWritten(arm.CNTVOFF_EL2) {
-				offLive = true
-				off = c.RegRaw(arm.CNTVOFF_EL2)
-			} else {
-				// Written by the recording: a recorder-computed constant the
-				// predicate captures (the read below taps, but a self-written
-				// word adds no guard). Outside a recording the tap is idle.
-				off = c.Reg(arm.CNTVOFF_EL2)
-			}
-			cnt -= off
-		}
-		var cval uint64
-		if param {
-			cval = c.RegRaw(l.cval)
-		} else {
-			cval = c.Reg(l.cval)
-		}
-		expired := ctl&CtlEnable != 0 && cnt >= cval
-		steady := expired && ctl&CtlIStat != 0 && t.firedAt[l.ctl] == cval
-		if ctl&CtlEnable != 0 {
-			switch {
-			case param && (steady || !expired):
-				t.logPred(c, l, steady, offLive, off)
-			case !steady:
-				// Firing, or an enabled line whose compare value the
-				// recording wrote mid-flight with the live counter still in
-				// play: not expressible as a guarded or parameterized delta.
-				c.JITPoison()
-			}
-		}
-		if expired {
-			c.SetReg(l.ctl, ctl|CtlIStat)
-			prev, fired := t.firedAt[l.ctl]
-			if ctl&CtlIMask == 0 && (!fired || prev != cval) {
-				t.firedAt[l.ctl] = cval
-				if t.Dist != nil {
-					t.Dist.AssertPPI(c.ID, l.intid)
-				}
-			}
-		} else {
+		if ctl&CtlEnable == 0 {
 			c.SetReg(l.ctl, ctl&^CtlIStat)
+			continue
 		}
-	}
-}
-
-// logPred builds and registers the replay predicate for a parameterized
-// evaluation of line l: the steady-state re-check, or the armed-unexpired
-// re-check. The closure allocates, but only at record time — replay just
-// calls it. offLive selects between re-reading CNTVOFF live (the recording
-// left it alone) and the captured constant off (the recording wrote it, so
-// the value this evaluation saw is fixed). The predicates deliberately do
-// not read the live control register — when the recorded sequence
-// reprogrammed ctl, its replayed write has not landed at validation time —
-// the guarded ctl read in Check pins those bits instead.
-func (t *Timer) logPred(c *arm.CPU, l *timerLine, steady, offLive bool, off uint64) {
-	count := func() uint64 {
+		c.JITPoison()
 		cnt := c.Cycles()
 		if l.virtual {
-			if offLive {
-				cnt -= c.RegRaw(arm.CNTVOFF_EL2)
-			} else {
-				cnt -= off
+			cnt -= c.Reg(arm.CNTVOFF_EL2)
+		}
+		cval := c.Reg(l.cval)
+		if cnt < cval {
+			c.SetReg(l.ctl, ctl&^CtlIStat)
+			continue
+		}
+		c.SetReg(l.ctl, ctl|CtlIStat)
+		prev, fired := t.firedAt[l.ctl]
+		if ctl&CtlIMask == 0 && (!fired || prev != cval) {
+			t.firedAt[l.ctl] = cval
+			if t.Dist != nil {
+				t.Dist.AssertPPI(c.ID, l.intid)
 			}
 		}
-		return cnt
-	}
-	var p jit.Pred
-	if steady {
-		// Monotone: expired at dispatch implies expired at the recorded
-		// evaluation point mid-replay, so no slack term is needed.
-		p = func(uint64) bool {
-			cval := c.RegRaw(l.cval)
-			return count() >= cval && t.firedAt[l.ctl] == cval
-		}
-	} else {
-		// The line must still be unexpired at the recorded evaluation
-		// point, which can sit anywhere in the replayed sequence: charge
-		// the super-op's full cycle advance up front.
-		p = func(slack uint64) bool {
-			return count()+slack < c.RegRaw(l.cval)
-		}
-	}
-	if offLive {
-		c.JITPred(p, l.cval, arm.CNTVOFF_EL2)
-	} else {
-		c.JITPred(p, l.cval)
 	}
 }
