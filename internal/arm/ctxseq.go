@@ -92,11 +92,8 @@ func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 			continue
 		}
 		if rec != nil {
-			// A pure storage move: declared as a copy, so the recording
-			// emits a parameter slot instead of value-guarding the source —
-			// the promoted super-op replays the save for any live register
-			// value (see jit.Engine.FileCopy).
-			rec.FileCopy(c.regsFID, int(eff), fid, int(seq.slots[i]), 0)
+			rec.FileRead(c.regsFID, int(eff))
+			rec.FileWrite(fid, int(seq.slots[i]))
 		}
 		store[seq.slots[i]] = c.regs[eff]
 	}
@@ -121,17 +118,15 @@ func (c *CPU) LoadSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	for i, r := range seq.regs {
 		eff := effEL2[b][r]
 		c.cycles += c.Cost.SysReg
+		if rec != nil {
+			rec.FileRead(fid, int(seq.slots[i]))
+		}
 		if c.devMask[eff] {
-			// Device-claimed register: the write may branch on the value
-			// (timer re-evaluation), so the slot read stays a value guard.
-			if rec != nil {
-				rec.FileRead(fid, int(seq.slots[i]))
-			}
 			c.raw(eff, true, store[seq.slots[i]])
 			continue
 		}
 		if rec != nil {
-			rec.FileCopy(fid, int(seq.slots[i]), c.regsFID, int(eff), 0)
+			rec.FileWrite(c.regsFID, int(eff))
 		}
 		c.regs[eff] = store[seq.slots[i]]
 	}

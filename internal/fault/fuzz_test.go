@@ -51,7 +51,7 @@ func runScript(t *testing.T, name string, data []byte) scriptResult {
 // the JIT at the trap site. Safe without a backstop — fuzz inputs are
 // capped at 128 operations, each of bounded work. mid, when non-nil, is
 // fired once halfway through the program — the point where warmed-up
-// super-ops (parameterized ones included) are replaying — so the jit-on
+// super-ops are replaying — so the jit-on
 // and jit-off runs see the identical perturbation at the identical point.
 func runScriptJIT(t *testing.T, name string, data []byte, jitOff bool, mid func(s *kvm.Stack)) scriptResult {
 	t.Helper()
@@ -158,7 +158,7 @@ func FuzzDifferentialNVvsNEVE(f *testing.F) {
 		// trap counts. v8.3 is the heavy promoter; neve exercises the
 		// record/poison machinery and the tracked deferred-access-page
 		// stores. A fault kind drawn from the input fires halfway through
-		// the program — mid-replay, parameterized super-ops included — and
+		// the program — mid-replay — and
 		// must perturb both runs identically: a perturbed walked or tracked
 		// word bails the super-op to the interpreter, never replays stale
 		// state.

@@ -97,12 +97,11 @@ func faultParityRun(t *testing.T, name string, jitOff bool, k fault.Kind) (sig s
 		phase := func(n, base int) {
 			for i := 0; i < n; i++ {
 				g.Hypercall()
-				// A monotonic, never-recurring value: the world switch moves
-				// it through the saved contexts as a parameter slot, so the
-				// fault fires while parameterized super-ops are replaying.
-				// (Before parameter slots this value would have filled the
-				// per-cause variant chains and starved replay outright.)
-				kg.CPU.MSR(arm.TPIDR_EL1, uint64(base+i))
+				// Cycle the written value over two values: the world switch
+				// copies it through the saved contexts, and every copy source
+				// is a value guard, so a never-recurring value would fill
+				// the per-cause variant chains and starve replay.
+				kg.CPU.MSR(arm.TPIDR_EL1, uint64(base+i%2))
 				obs = append(obs, kg.CPU.Reg(arm.TPIDR_EL1))
 				obs = append(obs, g.DeviceRead(uint64(i%4)*8))
 				g.Work(500)

@@ -19,24 +19,14 @@
 // file). On any guard mismatch the trap runs interpreted with zero
 // behavioral difference.
 //
-// The guard vector is split: alongside the value guards, a recording may
-// carry parameter slots — words the recorded sequence consumed without
-// observing. A tracked word the sequence only copied into another tracked
-// word (FileCopy: bulk context-save sequences, timer compare values moved
-// between files) is recorded as a src→dst move, optionally src+imm, not as
-// a value guard, so the same super-op replays for any live source value.
-// The parameterization degrades soundly: the moment the interpreted
-// sequence observes a parameter word through any read tap — directly, or
-// through a word derived from it — the parameter is upgraded back to a
-// value guard of the origin word, pinning every derived value the sequence
-// could have branched on.
+// Every guard is a value guard. A register copy between tracked files (the
+// batched world-switch sequences, context-to-context bookkeeping moves) is
+// reported as what it is at the storage level: a read of the source, which
+// guards the value unless the recording wrote that word first, and a write
+// of the destination, whose final value promotion harvests as a constant.
 package jit
 
-import (
-	"slices"
-
-	"github.com/nevesim/neve/internal/trace"
-)
+import "github.com/nevesim/neve/internal/trace"
 
 // ExcWords is the number of packed words identifying a trap cause; the
 // (cpu, cause) pair keys the recorder.
@@ -56,11 +46,10 @@ const (
 	Hit
 )
 
-// DefaultThreshold is how many sightings of a trap cause trigger a
-// recording when the platform does not specify one.
-const DefaultThreshold = 2
-
 const (
+	// defaultThreshold is how many sightings of a trap cause trigger a
+	// recording.
+	defaultThreshold = 2
 	// poisonLimit retires a trap cause after this many failed recordings;
 	// causes that keep touching unwalked state are never worth retrying.
 	poisonLimit = 4
@@ -120,12 +109,12 @@ type Hooks struct {
 	// mutating; TLBAddHits back-fills the hit statistics a replay skipped.
 	TLBProbe   func(vmid uint16, ia uint64) (pa, perm uint64, ok bool)
 	TLBAddHits func(n uint64)
-	// TLBGen, when non-nil, returns the TLB's mutation generation; an
-	// unchanged generation lets replay skip re-validating probes.
+	// TLBGen returns the TLB's mutation generation; an unchanged
+	// generation lets replay skip re-validating probes.
 	TLBGen func() uint64
-	// ClockGap, when non-nil, returns cycles-since-last-attribution for a
-	// core: the only clock fact the replay guard needs, fetched without
-	// copying the full ClockState.
+	// ClockGap returns cycles-since-last-attribution for a core: the only
+	// clock fact the replay guard needs, fetched without copying the full
+	// ClockState.
 	ClockGap func(cpu int) uint64
 	Trace    *trace.Collector
 	// Arm and Disarm install and remove the poison taps on memory,
@@ -320,36 +309,6 @@ type ptrWord struct {
 	val uint64
 }
 
-// paramSrc is an external tracked word a recording consumes as a parameter
-// (a copy source) rather than as a value guard. val is the value it held
-// at record time — unused by replay unless the parameter is upgraded
-// (guarded) because the sequence observed it.
-type paramSrc struct {
-	f       FileID
-	idx     int32
-	guarded bool
-	val     uint64
-}
-
-// recMove is one declared copy captured during a recording: the word
-// (dstF, dstIdx) was assigned params[param]'s live value plus imm. Chained
-// copies are resolved to their external origin at declaration time, so
-// every recMove's parameter is a word the recording had not written when
-// the copy executed.
-type recMove struct {
-	param  int32
-	dstF   FileID
-	dstIdx int32
-	imm    uint64
-}
-
-// moveOp is a promoted recMove: replay assigns *dst = *src + imm, reading
-// the live source value instead of guarding it.
-type moveOp struct {
-	src, dst *uint64
-	imm      uint64
-}
-
 // maxFileWords bounds a tracked file so the first-access bitmaps are two
 // fixed words (arm.NumSysRegs fits).
 const maxFileWords = 128
@@ -373,8 +332,6 @@ func (e *Engine) RegisterFile(f []uint64) FileID {
 	e.fileBases[&f[0]] = id
 	e.rdSeen = append(e.rdSeen, [2]uint64{})
 	e.wrSeen = append(e.wrSeen, [2]uint64{})
-	e.prov = append(e.prov, make([]int32, len(f)))
-	e.psrc = append(e.psrc, make([]int32, len(f)))
 	return id
 }
 
@@ -408,38 +365,10 @@ func (t *FileTap) Write(idx int) {
 	}
 }
 
-// CopyWord declares, through taps, a copy the caller performed from word si
-// of src's file to word di of dst's file without observing the value (no
-// branch, no derived computation). When both taps report to the same engine
-// the copy becomes a FileCopy parameter slot — the promoted super-op
-// re-executes the move against live state instead of value-guarding the
-// source. Any other combination (either side untapped, or taps on
-// different engines) degrades to the plain Read/Write notifications, which
-// stay sound: the read guards, the write restores.
-func CopyWord(src *FileTap, si int, dst *FileTap, di int) {
-	if src != nil && dst != nil && src.e == dst.e {
-		if src.e.rec != nil {
-			src.e.FileCopy(src.id, si, dst.id, di, 0)
-		}
-		return
-	}
-	src.Read(si)
-	dst.Write(di)
-}
-
-// provConst marks a word plain-written by the recording: its final value is
-// recorder-computed and harvested as a constant at promotion. Positive prov
-// values are 1-based indexes into the recording's move list (the word's
-// last writer was a declared copy); zero means the word is untouched.
-const provConst = -1
-
 // FileRead records a tracked-file read during a recording: the first
-// read of a word not already written by the recording guards the value
-// being read (later reads and reads of self-written words are derived
-// from state already guarded). Reading a word the recording derived from a
-// parameter — or a parameter source itself — upgrades the parameter's
-// external origin to a value guard: the interpreted sequence observed the
-// value and may have branched on it, so replay must pin it.
+// read of a word the recording has not already written guards the value
+// being read. Later reads, and reads of self-written words, are derived
+// from state already guarded or produced by the recording itself.
 func (e *Engine) FileRead(f FileID, idx int) {
 	rec := e.rec
 	if rec == nil || rec.poisoned {
@@ -450,38 +379,12 @@ func (e *Engine) FileRead(f FileID, idx int) {
 		return
 	}
 	i := int(f) - 1
-	if pv := e.prov[i][idx]; pv != 0 {
-		if pv > 0 {
-			e.guardParam(rec, rec.moves[pv-1].param)
-		}
-		return
-	}
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
-	if e.rdSeen[i][word]&bit != 0 {
-		return
-	}
-	if ps := e.psrc[i][idx]; ps > 0 {
-		e.guardParam(rec, ps-1)
+	if (e.rdSeen[i][word]|e.wrSeen[i][word])&bit != 0 {
 		return
 	}
 	e.rdSeen[i][word] |= bit
 	rec.freads = append(rec.freads, fileWord{f, int32(idx), e.files[i][idx]})
-}
-
-// guardParam upgrades parameter pi to a value guard of its origin word:
-// the guard pins the live origin to its record-time value, which in turn
-// pins every value the recording derived from it, so the moves that
-// consumed the parameter stay sound whether they replay as moves or are
-// folded back to constants at promotion.
-func (e *Engine) guardParam(rec *recording, pi int32) {
-	p := &rec.params[pi]
-	if p.guarded {
-		return
-	}
-	p.guarded = true
-	i := int(p.f) - 1
-	e.rdSeen[i][int(p.idx)>>6] |= uint64(1) << uint(int(p.idx)&63)
-	rec.freads = append(rec.freads, fileWord{p.f, p.idx, p.val})
 }
 
 // FileWrite records a tracked-file write during a recording; the final
@@ -496,72 +399,12 @@ func (e *Engine) FileWrite(f FileID, idx int) {
 		return
 	}
 	i := int(f) - 1
-	e.prov[i][idx] = provConst
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
 	if e.wrSeen[i][word]&bit != 0 {
 		return
 	}
 	e.wrSeen[i][word] |= bit
 	rec.fwrites = append(rec.fwrites, fileWord{f, int32(idx), 0})
-}
-
-// FileCopy records a declared copy during a recording: the machine moved
-// the value of tracked word (srcF, srcIdx), plus imm, into tracked word
-// (dstF, dstIdx) without observing it (no branch, no derived computation —
-// a pure storage move, as in the batched context sequences). Instead of
-// value-guarding the source, the engine emits a parameter move the replay
-// re-executes against the live source value. Copies chain: a copy whose
-// source is itself move-derived resolves to the external origin with the
-// immediates summed, so every promoted move reads a word the sequence had
-// not yet written. Copies from words the recording already pinned — plain-
-// written, or value-guarded by an earlier observing read — degrade to
-// constant writes; they cost nothing and stay sound.
-//
-// The caller performs the actual data move itself, exactly as with the
-// Read/Write taps; FileCopy is bookkeeping only.
-func (e *Engine) FileCopy(srcF FileID, srcIdx int, dstF FileID, dstIdx int, imm uint64) {
-	rec := e.rec
-	if rec == nil || rec.poisoned {
-		return
-	}
-	if srcF <= 0 || dstF <= 0 {
-		rec.poisoned = true
-		return
-	}
-	si := int(srcF) - 1
-	var pi int32
-	switch pv := e.prov[si][srcIdx]; {
-	case pv < 0:
-		// Source holds a recorder-computed constant.
-		e.FileWrite(dstF, dstIdx)
-		return
-	case pv > 0:
-		m := &rec.moves[pv-1]
-		pi = m.param
-		imm += m.imm
-	default:
-		if e.rdSeen[si][srcIdx>>6]&(uint64(1)<<uint(srcIdx&63)) != 0 {
-			// Source already value-guarded: pinned, so the copy result is a
-			// constant too.
-			e.FileWrite(dstF, dstIdx)
-			return
-		}
-		if ps := e.psrc[si][srcIdx]; ps > 0 {
-			pi = ps - 1
-		} else {
-			rec.params = append(rec.params, paramSrc{f: srcF, idx: int32(srcIdx), val: e.files[si][srcIdx]})
-			pi = int32(len(rec.params) - 1)
-			e.psrc[si][srcIdx] = pi + 1
-		}
-	}
-	di := int(dstF) - 1
-	rec.moves = append(rec.moves, recMove{param: pi, dstF: dstF, dstIdx: int32(dstIdx), imm: imm})
-	e.prov[di][dstIdx] = int32(len(rec.moves))
-	word, bit := dstIdx>>6, uint64(1)<<uint(dstIdx&63)
-	if e.wrSeen[di][word]&bit == 0 {
-		e.wrSeen[di][word] |= bit
-		rec.fwrites = append(rec.fwrites, fileWord{dstF, int32(dstIdx), 0})
-	}
 }
 
 // superOp is the compiled form of one recorded trap sequence.
@@ -577,16 +420,7 @@ type superOp struct {
 	walkClean bool
 	freads    []ptrWord
 	fwrites   []ptrWord
-	// moves are the parameter slots: replay assigns *dst = *src + imm in
-	// recorded (program) order, reading live source values, after the
-	// restore walk and before the constant fwrites — so every move source
-	// still holds its pre-replay value when read, matching the interpreted
-	// sequence, which read each source before writing it.
-	moves []moveOp
-	// pwords are the move sources, used by chain eviction to recognize an
-	// older variant's value guard that this variant supersedes.
-	pwords []*uint64
-	probes []Probe
+	probes    []Probe
 	// tlbGen is the TLB generation at which probes were last known valid;
 	// replay re-validates them only when the live generation differs.
 	tlbGen uint64
@@ -612,8 +446,6 @@ type recording struct {
 	gshapes  []uint64
 	freads   []fileWord
 	fwrites  []fileWord
-	params   []paramSrc
-	moves    []recMove
 	probes   []Probe
 	poisoned bool
 }
@@ -622,27 +454,18 @@ type recording struct {
 // engine. It is not safe for concurrent use; the machine model steps cores
 // deterministically on one goroutine.
 type Engine struct {
-	threshold int
-	sources   []Source
-	hooks     Hooks
-	entries   map[uint64]*entry
-	rec       *recording
-	stats     trace.JITStats
+	sources []Source
+	hooks   Hooks
+	entries map[uint64]*entry
+	rec     *recording
+	stats   trace.JITStats
 	// files holds the tracked register files; FileID i is files[i-1].
 	// rdSeen/wrSeen are the per-file per-recording first-access bitmaps,
-	// engine-owned scratch cleared when a recording begins. prov and psrc
-	// are the per-word provenance tables of the active recording: prov maps
-	// a written word to its last writer (provConst, or a 1-based move
-	// index), psrc maps an external word to its 1-based parameter index.
-	// Both are reset entry-by-entry from the recording's write, move, and
-	// parameter lists when it ends, so their cost tracks what the recording
-	// touched, not the registered file count.
+	// engine-owned scratch cleared when a recording begins.
 	files     [][]uint64
 	fileBases map[*uint64]FileID
 	rdSeen    [][2]uint64
 	wrSeen    [][2]uint64
-	prov      [][]int32
-	psrc      [][]int32
 	// w and marks are engine-owned scratch reused across dispatches so the
 	// replay hit path performs no allocation.
 	w     W
@@ -654,23 +477,17 @@ type Engine struct {
 	preData, postData     []uint64
 	preShapes, postShapes []uint64
 	sfreads, sfwrites     []fileWord
-	sparams               []paramSrc
-	smoves                []recMove
 	sprobes               []Probe
 }
 
-// New returns an engine over the given walk sources. threshold <= 0 selects
-// DefaultThreshold.
-func New(threshold int, sources []Source, hooks Hooks) *Engine {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
+// New returns an engine over the given walk sources. Every hook except Arm
+// and Disarm is required.
+func New(sources []Source, hooks Hooks) *Engine {
 	return &Engine{
-		threshold: threshold,
-		sources:   sources,
-		hooks:     hooks,
-		entries:   make(map[uint64]*entry),
-		marks:     make([]ClockState, hooks.NumCPUs),
+		sources: sources,
+		hooks:   hooks,
+		entries: make(map[uint64]*entry),
+		marks:   make([]ClockState, hooks.NumCPUs),
 	}
 }
 
@@ -727,7 +544,7 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 		return 0, Miss
 	}
 	ent.count++
-	if ent.count >= e.threshold {
+	if ent.count >= defaultThreshold {
 		e.beginRecord(exc, ent)
 		return 0, Record
 	}
@@ -748,28 +565,12 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 	}
 	for i := range op.clocks {
 		d := &op.clocks[i]
-		if !d.NeedGap {
-			continue
-		}
-		if e.hooks.ClockGap != nil {
-			if e.hooks.ClockGap(d.CPU) != d.PreGap {
-				return 0, false
-			}
-			continue
-		}
-		cs := e.hooks.ClockState(d.CPU)
-		if cs.Cycles-cs.LastAttributed != d.PreGap {
+		if d.NeedGap && e.hooks.ClockGap(d.CPU) != d.PreGap {
 			return 0, false
 		}
 	}
 	if len(op.probes) > 0 {
-		gen := uint64(0)
-		fresh := e.hooks.TLBGen == nil
-		if !fresh {
-			gen = e.hooks.TLBGen()
-			fresh = gen != op.tlbGen
-		}
-		if fresh {
+		if gen := e.hooks.TLBGen(); gen != op.tlbGen {
 			for i := range op.probes {
 				p := &op.probes[i]
 				pa, perm, ok := e.hooks.TLBProbe(p.VMID, p.IA)
@@ -793,13 +594,6 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 		if w.pos != len(op.post) {
 			panic("jit: restore walk did not consume the recorded state vector")
 		}
-	}
-	// Parameter moves first, in program order: every move source was
-	// external (unwritten) when the interpreted copy read it, so it must be
-	// read before any constant write to it lands.
-	for i := range op.moves {
-		m := &op.moves[i]
-		*m.dst = *m.src + m.imm
 	}
 	for i := range op.fwrites {
 		fw := &op.fwrites[i]
@@ -832,8 +626,6 @@ func (e *Engine) beginRecord(exc *[ExcWords]uint64, ent *entry) {
 	rec := &recording{exc: *exc, ent: ent}
 	rec.freads = e.sfreads[:0]
 	rec.fwrites = e.sfwrites[:0]
-	rec.params = e.sparams[:0]
-	rec.moves = e.smoves[:0]
 	rec.probes = e.sprobes[:0]
 	for i := range e.rdSeen {
 		e.rdSeen[i] = [2]uint64{}
@@ -868,10 +660,8 @@ func (e *Engine) EndRecord(retVal uint64) {
 		e.hooks.Disarm()
 	}
 	// The counter log must be disarmed on every path out of this function;
-	// EndCounterLog below reads it before this runs. The provenance tables
-	// are reset on every path too, but only after promotion has read them.
+	// EndCounterLog below reads it before this runs.
 	defer e.hooks.Trace.AbortCounterLog()
-	defer e.resetProv(rec)
 	// Reclaim the recording's scratch (the appends may have regrown it).
 	e.reclaimScratch(rec)
 	if rec.poisoned {
@@ -927,31 +717,11 @@ func (e *Engine) EndRecord(retVal uint64) {
 		g := &rec.freads[i]
 		freads[i] = ptrWord{p: &e.files[g.f-1][g.idx], val: g.val}
 	}
-	// Compile the split guard vector: each recorded move whose word it was
-	// the final writer of, and whose parameter stayed unobserved, promotes
-	// to a replayed move; everything else written falls back to a constant
-	// harvested from the file (for an upgraded parameter the origin guard
-	// pins the copied value, so the constant is exact).
-	var moves []moveOp
-	var pwords []*uint64
-	for i := range rec.moves {
-		m := &rec.moves[i]
-		if e.prov[m.dstF-1][m.dstIdx] != int32(i+1) || rec.params[m.param].guarded {
-			continue
-		}
-		p := &rec.params[m.param]
-		src := &e.files[p.f-1][p.idx]
-		moves = append(moves, moveOp{src: src, dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm})
-		pwords = append(pwords, src)
-	}
-	fwrites := make([]ptrWord, 0, len(rec.fwrites))
+	fwrites := make([]ptrWord, len(rec.fwrites))
 	for i := range rec.fwrites {
 		fw := &rec.fwrites[i]
-		if pv := e.prov[fw.f-1][fw.idx]; pv > 0 && !rec.params[rec.moves[pv-1].param].guarded {
-			continue // replayed as a move
-		}
 		p := &e.files[fw.f-1][fw.idx]
-		fwrites = append(fwrites, ptrWord{p: p, val: *p})
+		fwrites[i] = ptrWord{p: p, val: *p}
 	}
 	op := &superOp{
 		exc:     rec.exc,
@@ -960,17 +730,13 @@ func (e *Engine) EndRecord(retVal uint64) {
 		post:    append([]uint64(nil), post...),
 		freads:  freads,
 		fwrites: fwrites,
-		moves:   moves,
-		pwords:  pwords,
 		probes:  append([]Probe(nil), rec.probes...),
 		clocks:  clocks,
 		retVal:  retVal,
 		next:    rec.ent.ops,
-	}
-	if e.hooks.TLBGen != nil {
 		// A promoted recording saw no TLB mutation (mutation poisons), so
 		// the generation now is the one its probes were valid under.
-		op.tlbGen = e.hooks.TLBGen()
+		tlbGen: e.hooks.TLBGen(),
 	}
 	op.walkClean = len(post) == len(rec.guard)
 	for i := range post {
@@ -985,35 +751,12 @@ func (e *Engine) EndRecord(retVal uint64) {
 	rec.ent.ops = op
 	rec.ent.nops++
 	rec.ent.count = 0
-	if len(op.moves) > 0 {
-		e.evictSuperseded(rec.ent, op)
-	}
 }
 
 // reclaimScratch hands a finished recording's list storage back to the
 // engine for the next recording.
 func (e *Engine) reclaimScratch(rec *recording) {
 	e.sfreads, e.sfwrites, e.sprobes = rec.freads[:0], rec.fwrites[:0], rec.probes[:0]
-	e.sparams, e.smoves = rec.params[:0], rec.moves[:0]
-}
-
-// resetProv clears the provenance tables entry-by-entry from the
-// recording's write, move, and parameter lists — every table mutation is
-// paired with a list append, so this restores the all-zero invariant the
-// next recording relies on in time proportional to what was touched.
-func (e *Engine) resetProv(rec *recording) {
-	for i := range rec.fwrites {
-		fw := &rec.fwrites[i]
-		e.prov[fw.f-1][fw.idx] = 0
-	}
-	for i := range rec.moves {
-		m := &rec.moves[i]
-		e.prov[m.dstF-1][m.dstIdx] = 0
-	}
-	for i := range rec.params {
-		p := &rec.params[i]
-		e.psrc[p.f-1][p.idx] = 0
-	}
 }
 
 // AbortRecord discards the active recording (handler panicked).
@@ -1028,7 +771,6 @@ func (e *Engine) AbortRecord() {
 	}
 	e.hooks.Trace.AbortCounterLog()
 	e.reclaimScratch(rec)
-	e.resetProv(rec)
 	rec.ent.poison++
 }
 
@@ -1077,7 +819,6 @@ func (e *Engine) Quiesce() {
 	}
 	e.hooks.Trace.AbortCounterLog()
 	e.reclaimScratch(rec)
-	e.resetProv(rec)
 }
 
 // Reset drops the super-op cache and statistics, aborting any in-flight
@@ -1100,111 +841,4 @@ func (e *Engine) Entries() (causes, ops int) {
 		ops += ent.nops
 	}
 	return causes, ops
-}
-
-// evictSuperseded unlinks plain chain variants that a freshly promoted
-// parameterized variant covers: a single-use variant recorded before the
-// parameterization — its guard pinning one round's compare value — can
-// never match again once the value moves on, but it still costs a failed
-// guard check on every dispatch and crowds the chain toward maxChain.
-// Eviction is always correctness-safe (dropping a cached super-op only
-// costs a future miss), so the comparator may be conservative.
-func (e *Engine) evictSuperseded(ent *entry, op *superOp) {
-	var prev *superOp
-	for v := ent.ops; v != nil; {
-		if v == op || !supersedes(op, v) {
-			prev, v = v, v.next
-			continue
-		}
-		if prev == nil {
-			ent.ops = v.next
-		} else {
-			prev.next = v.next
-		}
-		v = v.next
-		ent.nops--
-		e.stats.Evictions++
-	}
-}
-
-// supersedes reports whether parameterized variant op covers plain variant
-// v: identical recorded behavior (walk guard, post state, writes, clocks,
-// probes, counters, return value), with v's extra value guards falling only
-// on words op reads as move sources. Every state v would replay in, op
-// replays in too.
-func supersedes(op, v *superOp) bool {
-	if len(v.moves) != 0 || v.exc != op.exc || v.retVal != op.retVal {
-		return false
-	}
-	if !slices.Equal(v.guard, op.guard) || !slices.Equal(v.gshapes, op.gshapes) || !slices.Equal(v.post, op.post) {
-		return false
-	}
-	if !slices.Equal(v.clocks, op.clocks) || !slices.Equal(v.probes, op.probes) {
-		return false
-	}
-	switch {
-	case v.tdelta == nil && op.tdelta == nil:
-	case v.tdelta != nil && op.tdelta != nil && v.tdelta.Equal(op.tdelta):
-	default:
-		return false
-	}
-	// op's guards must be a subset of v's (same word, same value), and v's
-	// surplus guards must all be parameterized words of op.
-	for i := range op.freads {
-		if !containsGuard(v.freads, op.freads[i]) {
-			return false
-		}
-	}
-	for i := range v.freads {
-		if containsGuard(op.freads, v.freads[i]) {
-			continue
-		}
-		if !slices.Contains(op.pwords, v.freads[i].p) {
-			return false
-		}
-	}
-	// Same written-word set: op's constants must match v's exactly, and
-	// v's surplus constant writes must be words op writes as moves.
-	for i := range op.fwrites {
-		if !containsGuard(v.fwrites, op.fwrites[i]) {
-			return false
-		}
-	}
-	for i := range v.fwrites {
-		if containsGuard(op.fwrites, v.fwrites[i]) {
-			continue
-		}
-		covered := false
-		for j := range op.moves {
-			if op.moves[j].dst == v.fwrites[i].p {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	for j := range op.moves {
-		found := false
-		for i := range v.fwrites {
-			if v.fwrites[i].p == op.moves[j].dst {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func containsGuard(s []ptrWord, g ptrWord) bool {
-	for i := range s {
-		if s[i].p == g.p && s[i].val == g.val {
-			return true
-		}
-	}
-	return false
 }

@@ -48,13 +48,11 @@ func (ctx *Context) Set(r arm.SysReg, v uint64) {
 }
 
 // copyFrom moves one saved register from src slot sr into dst slot dr,
-// declaring the move to any installed trace-JIT engine: a recording emits a
-// parameter slot (jit.CopyWord) instead of value-guarding the source, so
-// the world-switch bookkeeping loops stay replayable across rounds whose
-// live register values differ.
+// reporting the read and the write to any installed trace-JIT engine.
 func (ctx *Context) copyFrom(src *Context, dr, sr arm.SysReg) {
 	di, si := arm.StorageReg(dr), arm.StorageReg(sr)
-	jit.CopyWord(src.jt, int(si), ctx.jt, int(di))
+	src.jt.Read(int(si))
+	ctx.jt.Write(int(di))
 	ctx.regs[di] = src.regs[si]
 }
 

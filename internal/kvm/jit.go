@@ -238,10 +238,9 @@ func walkVCPU(w *jit.W, v *VCPU) {
 
 // InstallJIT attaches a trace-JIT engine to the stack: every core
 // dispatches through it, and its poison taps cover memory, the UART, and
-// the stage-2 TLB. threshold <= 0 selects jit.DefaultThreshold. Install
-// after assembly (the walk's identity tables are built from the final
-// topology); repeated calls are no-ops.
-func (s *Stack) InstallJIT(threshold int) {
+// the stage-2 TLB. Install after assembly (the walk's identity tables are
+// built from the final topology); repeated calls are no-ops.
+func (s *Stack) InstallJIT() {
 	if s.jit != nil {
 		return
 	}
@@ -289,7 +288,7 @@ func (s *Stack) InstallJIT(threshold int) {
 			tlb.OnLookup = nil
 		},
 	}
-	eng = jit.New(threshold, []jit.Source{src}, hooks)
+	eng = jit.New([]jit.Source{src}, hooks)
 	// The saved register contexts are tracked by read/write set instead of
 	// being walked: they are large and a trap sequence touches few words.
 	// Their single access funnel (Context.Get/Set and the batched

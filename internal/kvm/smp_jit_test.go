@@ -76,7 +76,7 @@ func TestSMPJITStackMatchesInterpreted(t *testing.T) {
 	mk := func(jit bool) *Stack {
 		s := NewVMStack(StackOptions{CPUs: n})
 		if jit {
-			s.InstallJIT(2)
+			s.InstallJIT()
 		}
 		return s
 	}
@@ -116,7 +116,7 @@ func TestSMPJITStackMatchesInterpreted(t *testing.T) {
 func TestSMPRunDetachesJIT(t *testing.T) {
 	const n, rounds = 4, 12
 	s := NewVMStack(StackOptions{CPUs: n})
-	s.InstallJIT(2)
+	s.InstallJIT()
 	total := func() trace.JITStats { return s.JITStats().Add(s.SMPJITStats()) }
 
 	before := total()

@@ -15,7 +15,7 @@ func TestSMPParallelBuildsStage2Once(t *testing.T) {
 	f := arm.FeaturesV84()
 	mk := func() *Stack {
 		s := NewNestedStack(StackOptions{CPUs: 8, Feat: &f, GuestNEVE: true})
-		s.InstallJIT(0)
+		s.InstallJIT()
 		return s
 	}
 	s := mk()

@@ -149,7 +149,7 @@ func buildARM(spec Spec) *armPlatform {
 	// without the engine.
 	if !spec.JITOff && !spec.RecordTrace && !spec.Faults.Active() &&
 		spec.MaxTraps == 0 && spec.MaxSteps == 0 {
-		s.InstallJIT(spec.JITThreshold)
+		s.InstallJIT()
 	}
 	p := &armPlatform{spec: spec, s: s}
 	p.installFaults()

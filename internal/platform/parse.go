@@ -20,8 +20,7 @@ import (
 //	paravirt              hvc-rewritten guest hypervisor (pre-NV hardware)
 //	gicv2                 memory-mapped GIC hypervisor control interface
 //	optvhe                optimized VHE guest hypervisor (Section 7.1)
-//	jit=off|on|N          trace-JIT layer (default on; N sets the
-//	                      recording threshold)
+//	jit=off|on            trace-JIT layer (default on)
 //	cpus=N, ram=MiB       machine sizing
 //	trace                 record individual trap events
 //	noshadow              disable VMCS shadowing (x86)
@@ -132,20 +131,14 @@ func (s *Spec) setAxis(key, val string, hasVal bool) error {
 		}
 		s.Ablation = &abl
 	case "jit":
-		if !hasVal || val == "on" {
+		switch {
+		case !hasVal || val == "on":
 			s.JITOff = false
-			return nil
-		}
-		if val == "off" {
+		case val == "off":
 			s.JITOff = true
-			return nil
+		default:
+			return fmt.Errorf("platform: jit=%q is not off or on", val)
 		}
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("platform: jit=%q is not off, on, or a threshold", val)
-		}
-		s.JITOff = false
-		s.JITThreshold = n
 	case "cpus":
 		n, err := strconv.Atoi(val)
 		if err != nil {

@@ -163,6 +163,9 @@ func TestParseAxisLists(t *testing.T) {
 	if _, err := Parse("ablation=defer+bogus,nesting=2,neve"); err == nil {
 		t.Error("Parse accepted an unknown ablation mechanism")
 	}
+	if _, err := Parse("jit=3"); err == nil {
+		t.Error("Parse accepted a numeric jit value")
+	}
 }
 
 // TestAxesRoundTrip: every registry spec's canonical axis rendering parses

@@ -148,9 +148,6 @@ type Spec struct {
 	// layer self-disables (regardless of this axis) when trap recording,
 	// fault injection, or a watchdog is attached.
 	JITOff bool
-	// JITThreshold is how many sightings of a trap trigger a super-op
-	// recording; 0 selects the engine default.
-	JITThreshold int
 }
 
 // MaxCPUs is the widest machine the simulator models: the SMP scale-out
@@ -207,12 +204,6 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return fmt.Errorf("platform: %w", err)
-	}
-	if s.JITThreshold < 0 {
-		return fmt.Errorf("platform: negative JIT threshold %d", s.JITThreshold)
-	}
-	if s.JITOff && s.JITThreshold != 0 {
-		return fmt.Errorf("platform: jit=off and a JIT threshold are mutually exclusive")
 	}
 	if s.Arch == X86 {
 		return s.validateX86(nesting)
@@ -341,8 +332,6 @@ func (s Spec) Axes() string {
 	}
 	if s.JITOff {
 		parts = append(parts, "jit=off")
-	} else if s.JITThreshold != 0 {
-		parts = append(parts, fmt.Sprintf("jit=%d", s.JITThreshold))
 	}
 	if s.CPUs != 0 {
 		parts = append(parts, fmt.Sprintf("cpus=%d", s.CPUs))

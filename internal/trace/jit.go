@@ -11,8 +11,8 @@ package trace
 // or Bailouts increments per dispatched trap: Hits (a super-op replayed),
 // Misses (no super-op for the trap cause yet), or Bailouts (a super-op
 // existed but its guard did not match and the trap ran interpreted).
-// Evictions counts chain variants dropped because a later parameterized
-// variant covers their states; it is not per-dispatch.
+// Evictions is always zero: the engine no longer evicts chain variants. The
+// field stays because the benchmark's jit.evictions.n metric reads it.
 type JITStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -124,27 +124,6 @@ func (c *Collector) EndCounterLog(d *CounterDelta) bool {
 		}
 		if !merged {
 			d.sparse = append(d.sparse, sparseEntry{k: k, n: 1})
-		}
-	}
-	return true
-}
-
-// Equal reports whether two deltas describe the same counter increments in
-// the same discovery order. The JIT's chain eviction uses it to decide that
-// one super-op variant's counting effect matches another's; a false
-// negative (same multiset, different order) only keeps a variant alive.
-func (d *CounterDelta) Equal(o *CounterDelta) bool {
-	if d.byReason != o.byReason || len(d.dense) != len(o.dense) || len(d.sparse) != len(o.sparse) {
-		return false
-	}
-	for i := range d.dense {
-		if d.dense[i] != o.dense[i] {
-			return false
-		}
-	}
-	for i := range d.sparse {
-		if d.sparse[i] != o.sparse[i] {
-			return false
 		}
 	}
 	return true
