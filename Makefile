@@ -85,19 +85,21 @@ smp-race:
 smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
 
-# Trace-JIT correctness smoke: the figure 2 measured table (deterministic,
-# no wall times) must be byte-identical with super-ops replaying (-jit=on)
-# and every trap interpreted (-jit=off). Any diff is a replay-path bug.
+# Trace-JIT correctness smoke: the figure 2 measured table and the two
+# three-level recursive stacks' microbenchmarks (deterministic, no wall
+# times) must be byte-identical with super-ops replaying (-jit=on) and
+# every trap interpreted (-jit=off). Any diff is a replay-path bug.
 jit-equiv-smoke:
-	@$(GO) run ./cmd/nevesim -jit=on fig2 > .fig2-jit-on.tmp
-	@$(GO) run ./cmd/nevesim -jit=off fig2 > .fig2-jit-off.tmp
-	@if diff .fig2-jit-on.tmp .fig2-jit-off.tmp; then \
-		echo "fig2 byte-identical jit-on vs jit-off"; \
-		rm -f .fig2-jit-on.tmp .fig2-jit-off.tmp; \
-	else \
-		rm -f .fig2-jit-on.tmp .fig2-jit-off.tmp; \
-		echo "fig2 differs jit-on vs jit-off"; exit 1; \
-	fi
+	@for run in "fig2" "run -config recursive-v8.3" "run -config recursive-neve"; do \
+		$(GO) run ./cmd/nevesim -jit=on $$run > .jit-on.tmp || exit 1; \
+		$(GO) run ./cmd/nevesim -jit=off $$run > .jit-off.tmp || exit 1; \
+		if diff .jit-on.tmp .jit-off.tmp; then \
+			echo "$$run byte-identical jit-on vs jit-off"; \
+		else \
+			rm -f .jit-on.tmp .jit-off.tmp; \
+			echo "$$run differs jit-on vs jit-off"; exit 1; \
+		fi; \
+	done; rm -f .jit-on.tmp .jit-off.tmp
 
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the trap hot path, the trace collector, and the

@@ -29,17 +29,17 @@ func (c *CPU) Checkpoint() *CPUCheckpoint {
 		panic("arm: Checkpoint inside a trap handler")
 	}
 	cp := &CPUCheckpoint{
-		el:             c.el,
-		level:          c.level,
-		guestLevel:     c.guestLevel,
+		el:             EL(c.st[stEL]),
+		level:          VLevel(c.st[stLevel]),
+		guestLevel:     VLevel(c.st[stGuestLevel]),
 		regs:           c.regs,
 		cycles:         c.cycles,
 		levelCycles:    c.levelCycles,
 		lastAttributed: c.lastAttributed,
-		nv2Val:         c.nv2Val,
-		irqMasked:      c.irqMasked,
-		inVIRQ:         c.inVIRQ,
-		virq:           c.VIRQ,
+		nv2Val:         c.st[stNV2Val],
+		irqMasked:      c.st[stIRQMasked] != 0,
+		inVIRQ:         c.st[stInVIRQ] != 0,
+		virq:           c.VIRQ(),
 	}
 	if len(c.pendingIRQ) > 0 {
 		cp.pendingIRQ = append([]int(nil), c.pendingIRQ...)
@@ -47,19 +47,26 @@ func (c *CPU) Checkpoint() *CPUCheckpoint {
 	return cp
 }
 
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Restore returns the core to a checkpointed state.
 func (c *CPU) Restore(cp *CPUCheckpoint) {
-	c.el = cp.el
-	c.level = cp.level
-	c.guestLevel = cp.guestLevel
+	c.st[stEL] = uint64(cp.el)
+	c.st[stLevel] = uint64(cp.level)
+	c.st[stGuestLevel] = uint64(cp.guestLevel)
 	c.regs = cp.regs
 	c.cycles = cp.cycles
 	c.levelCycles = cp.levelCycles
 	c.lastAttributed = cp.lastAttributed
-	c.nv2Val = cp.nv2Val
+	c.st[stNV2Val] = cp.nv2Val
 	c.pendingIRQ = append(c.pendingIRQ[:0], cp.pendingIRQ...)
-	c.irqMasked = cp.irqMasked
-	c.inVIRQ = cp.inVIRQ
-	c.VIRQ = cp.virq
+	c.st[stIRQMasked] = b2u(cp.irqMasked)
+	c.st[stInVIRQ] = b2u(cp.inVIRQ)
+	c.SetVIRQ(cp.virq)
 	c.excDepth = 0
 }

@@ -2,6 +2,7 @@ package arm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
@@ -64,9 +65,6 @@ type CPU struct {
 	Bus PhysBus
 	// S2 is the stage-2 MMU context.
 	S2 Stage2
-	// VIRQ is the IRQ vector of the guest currently scheduled at vEL1.
-	VIRQ VIRQSink
-
 	// HookTrap, when non-nil, observes every trap after it is recorded
 	// and before the EL2 vector runs; the fault layer hangs its injector
 	// and trap-storm watchdog here. Nil in all normal runs, so the hot
@@ -78,11 +76,11 @@ type CPU struct {
 	// delivery; the step-budget watchdog hangs here.
 	HookTick func(c *CPU, n uint64)
 
-	el         EL
-	level      VLevel
-	guestLevel VLevel
-	regs       [NumSysRegs]uint64
-	cycles     uint64
+	// st holds the core's mode words (the st* indices in jit.go). Every
+	// access reports to stTap, so the trace-JIT guards them like regs.
+	st     [numStWords]uint64
+	regs   [NumSysRegs]uint64
+	cycles uint64
 
 	// levelCycles attributes elapsed cycles to the virtualization level
 	// that spent them (0 = host hypervisor); lastAttributed marks the
@@ -107,25 +105,23 @@ type CPU struct {
 	excPool  [maxTrapDepth]Exception
 	excDepth int
 
-	// nv2Val stages the value exchanged with the NV2 engine. Passing a
-	// stack variable's address through the interface call would force a
-	// heap allocation per deferred access; the engine performs the access
-	// synchronously and never re-enters MRS/MSR, so one slot suffices.
-	nv2Val uint64
+	// sinks is the append-only table st[stVIRQ] indexes (index 0 is nil):
+	// every virtual IRQ sink this core has been pointed at.
+	sinks []VIRQSink
 
 	pendingIRQ []int
-	irqMasked  bool
-	inVIRQ     bool
 
 	// jit, when non-nil, is the trace-JIT engine consulted on every trap;
-	// jitPoison is its pre-bound poison hook, and regsTap the engine's
-	// read/write notifier for regs, which is tracked by access set rather
-	// than walked (see SetJIT in jit.go). Every read or write of regs
-	// must notify the tap with the effective storage index.
+	// jitPoison is its pre-bound poison hook, and regsTap, stTap and
+	// irqTap the engine's notifiers for regs, st and pendingIRQ (see
+	// SetJIT in jit.go). Every read or write of regs must notify regsTap
+	// with the effective storage index.
 	jit       *jit.Engine
 	jitPoison func()
 	regsTap   *jit.FileTap
 	regsFID   jit.FileID
+	stTap     *jit.FileTap
+	irqTap    *jit.QueueTap
 }
 
 // maxTrapDepth bounds the pooled trap nesting (recursive virtualization
@@ -141,7 +137,7 @@ func NewCPU(id int, m *mem.Memory, feat Features) *CPU {
 		Mem:  m,
 		Cost: DefaultCosts(),
 		Feat: feat,
-		el:   EL2,
+		st:   [numStWords]uint64{stEL: uint64(EL2)},
 	}
 }
 
@@ -181,7 +177,7 @@ func (c *CPU) attribute(level VLevel) {
 // on this core (0 = host hypervisor, 1 = guest hypervisor or VM, ...): the
 // breakdown behind the exit multiplication problem.
 func (c *CPU) LevelCycles() []uint64 {
-	c.attribute(c.level)
+	c.attribute(c.Level())
 	out := make([]uint64, len(c.levelCycles))
 	copy(out, c.levelCycles[:])
 	return out
@@ -229,24 +225,56 @@ func (c *CPU) MemOp(n uint64) { c.cycles += n * c.Cost.Mem }
 
 // EL returns the physical exception level, which only the model itself and
 // tests may observe. Modeled guest software must use CurrentEL, which is
-// subject to the ARMv8.3 disguise.
-func (c *CPU) EL() EL { return c.el }
+// subject to the ARMv8.3 disguise. (EL, Level and GuestLevel index st by
+// constant instead of calling get so they stay inlinable on the trap path.)
+func (c *CPU) EL() EL {
+	c.stTap.Read(stEL)
+	return EL(c.st[stEL])
+}
 
 // Level returns the virtualization level of the currently running software
 // (0 = host hypervisor), for tracing and tests.
-func (c *CPU) Level() VLevel { return c.level }
+func (c *CPU) Level() VLevel {
+	c.stTap.Read(stLevel)
+	return VLevel(c.st[stLevel])
+}
 
 // SetGuestLevel records the virtualization level of the guest context the
 // host hypervisor has prepared to run; the trap-return path restores it.
 func (c *CPU) SetGuestLevel(l VLevel) {
-	c.guestLevel = l
-	if c.el != EL2 {
-		c.level = l
+	c.set(stGuestLevel, uint64(l))
+	if c.EL() != EL2 {
+		c.set(stLevel, uint64(l))
 	}
 }
 
 // GuestLevel returns the scheduled guest context's level.
-func (c *CPU) GuestLevel() VLevel { return c.guestLevel }
+func (c *CPU) GuestLevel() VLevel {
+	c.stTap.Read(stGuestLevel)
+	return VLevel(c.st[stGuestLevel])
+}
+
+// VIRQ returns the IRQ vector of the guest currently scheduled at vEL1.
+func (c *CPU) VIRQ() VIRQSink {
+	if i := c.get(stVIRQ); i != 0 {
+		return c.sinks[i-1]
+	}
+	return nil
+}
+
+// SetVIRQ points the core at the IRQ vector of the guest scheduled at
+// vEL1 (nil for none).
+func (c *CPU) SetVIRQ(s VIRQSink) {
+	i := 0
+	if s != nil {
+		i = slices.Index(c.sinks, s) + 1
+		if i == 0 {
+			c.sinks = append(c.sinks, s)
+			i = len(c.sinks)
+		}
+	}
+	c.set(stVIRQ, uint64(i))
+}
 
 // Reg reads register storage directly, bypassing traps, devices and cycle
 // accounting. For model plumbing (hypervisor-internal state, devices,
@@ -278,10 +306,11 @@ func (c *CPU) hcrRead() uint64 {
 func (c *CPU) CurrentEL() EL {
 	c.cycles += c.Cost.SysReg
 	c.regsTap.Read(int(HCR_EL2))
-	if c.el == EL1 && c.regs[HCR_EL2]&HCRNV != 0 && c.Feat.NV {
+	el := c.EL()
+	if el == EL1 && c.regs[HCR_EL2]&HCRNV != 0 && c.Feat.NV {
 		return EL2
 	}
-	return c.el
+	return el
 }
 
 // MRS models a system register read by the running software.
@@ -311,10 +340,11 @@ func (c *CPU) MSR(r SysReg, v uint64) {
 //	                       hypervisor (NV1 model bit): trap / NEVE memory
 //	physical EL1, EL0 reg  always native
 func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
+	el := c.EL()
 	if info.VHEOnly && !c.Feat.VHE {
-		panic(&UndefError{Reg: r, EL: c.el})
+		panic(&UndefError{Reg: r, EL: el})
 	}
-	if c.el == EL2 {
+	if el == EL2 {
 		// effEL2 folds alias resolution and VHE E2H redirection of EL1
 		// access instructions (Section 2) into one precomputed load.
 		b := 0
@@ -337,8 +367,8 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		}
 		return c.raw(eff, write, wval)
 	}
-	if c.el != EL1 {
-		panic(fmt.Sprintf("arm: sysreg access to %s at %s not modeled", r, c.el))
+	if el != EL1 {
+		panic(fmt.Sprintf("arm: sysreg access to %s at %s not modeled", r, el))
 	}
 
 	c.regsTap.Read(int(HCR_EL2))
@@ -361,13 +391,11 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		if !nv {
 			// ARMv8.0: the hypervisor instruction is undefined at EL1 and
 			// the unmodified guest hypervisor crashes (Section 2).
-			panic(&UndefError{Reg: r, EL: c.el})
+			panic(&UndefError{Reg: r, EL: el})
 		}
 		if hcr&HCRNV2 != 0 && c.Feat.NV2 && c.NV2 != nil {
-			c.nv2Val = wval
-			switch c.NV2.Access(c, r, write, &c.nv2Val) {
-			case NV2Memory, NV2Redirected:
-				return c.nv2Val
+			if v, ok := c.nv2Access(r, write, wval); ok {
+				return v
 			}
 		}
 		return c.trapSysReg(r, write, wval)
@@ -376,10 +404,8 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		// its VM's virtual EL1 state and must not clobber the hardware EL1
 		// registers that hold the guest hypervisor's own state (Section 4).
 		if hcr&HCRNV2 != 0 && c.Feat.NV2 && c.NV2 != nil {
-			c.nv2Val = wval
-			switch c.NV2.Access(c, r, write, &c.nv2Val) {
-			case NV2Memory, NV2Redirected:
-				return c.nv2Val
+			if v, ok := c.nv2Access(r, write, wval); ok {
+				return v
 			}
 		}
 		return c.trapSysReg(r, write, wval)
@@ -400,9 +426,22 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 	}
 }
 
+// nv2Access hands an access to the NEVE engine through the staging slot
+// st[stNV2Val]: a stack variable's address would escape to the heap, and
+// the engine runs synchronously and never re-enters MRS/MSR. The slot is
+// written first, so the engine's pointer accesses stay inside the write set.
+func (c *CPU) nv2Access(r SysReg, write bool, wval uint64) (uint64, bool) {
+	c.set(stNV2Val, wval)
+	switch c.NV2.Access(c, r, write, &c.st[stNV2Val]) {
+	case NV2Memory, NV2Redirected:
+		return c.get(stNV2Val), true
+	}
+	return 0, false
+}
+
 // raw performs a non-trapping access: device hook first, then storage.
 func (c *CPU) raw(r SysReg, write bool, wval uint64) uint64 {
-	if !write && c.el == EL1 {
+	if !write && c.EL() == EL1 {
 		// ID register virtualization: reads at EL1 return the values the
 		// hypervisor programmed into VMPIDR_EL2/VPIDR_EL2.
 		switch r {
@@ -439,7 +478,7 @@ func (c *CPU) trapSysReg(r SysReg, write bool, wval uint64) uint64 {
 // HVC models the hvc instruction: a hypercall into EL2 carrying a 16-bit
 // immediate, the vehicle of the paper's paravirtualization (Section 4).
 func (c *CPU) HVC(imm uint16) uint64 {
-	if c.el == EL2 {
+	if c.EL() == EL2 {
 		panic("arm: HVC at EL2 not modeled")
 	}
 	return c.trapE(Exception{EC: ECHVC64, Imm: imm})
@@ -447,7 +486,7 @@ func (c *CPU) HVC(imm uint16) uint64 {
 
 // SMC models the smc instruction trapped by HCR_EL2.TSC.
 func (c *CPU) SMC(imm uint16) uint64 {
-	if c.el == EL2 {
+	if c.EL() == EL2 {
 		panic("arm: SMC at EL2 not modeled")
 	}
 	return c.trapE(Exception{EC: ECSMC64, Imm: imm})
@@ -458,19 +497,19 @@ func (c *CPU) SMC(imm uint16) uint64 {
 // load the nested VM's state before entry (Section 4); without NV it is the
 // unmodified-hypervisor crash case.
 func (c *CPU) ERET() {
-	if c.el != EL1 {
+	if c.EL() != EL1 {
 		panic("arm: guest ERET only modeled at EL1; the host enters guests with RunGuest")
 	}
 	c.regsTap.Read(int(HCR_EL2))
 	if c.regs[HCR_EL2]&HCRNV == 0 || !c.Feat.NV {
-		panic(&UndefError{EL: c.el, What: "ERET by deprivileged hypervisor without FEAT_NV"})
+		panic(&UndefError{EL: EL1, What: "ERET by deprivileged hypervisor without FEAT_NV"})
 	}
 	c.trapE(Exception{EC: ECERet})
 }
 
 // WFI models the wfi instruction, trapped to EL2 by hypervisors.
 func (c *CPU) WFI() {
-	if c.el == EL2 {
+	if c.EL() == EL2 {
 		panic("arm: WFI at EL2 not modeled")
 	}
 	c.trapE(Exception{EC: ECWFx})
@@ -491,16 +530,19 @@ func (c *CPU) Tick(n uint64) {
 // AssertIRQ marks a physical interrupt pending on this core (called by the
 // GIC distributor model).
 func (c *CPU) AssertIRQ(intid int) {
+	c.irqTap.Write()
 	c.pendingIRQ = append(c.pendingIRQ, intid)
 }
 
 // HasPendingIRQ reports whether a physical interrupt is pending.
-func (c *CPU) HasPendingIRQ() bool { return len(c.pendingIRQ) > 0 }
+func (c *CPU) HasPendingIRQ() bool {
+	c.irqTap.Read()
+	return len(c.pendingIRQ) > 0
+}
 
 func (c *CPU) checkIRQ() {
-	for len(c.pendingIRQ) > 0 && c.el != EL2 && c.hcrRead()&HCRIMO != 0 {
-		intid := c.pendingIRQ[0]
-		c.pendingIRQ = c.pendingIRQ[1:]
+	for c.HasPendingIRQ() && c.EL() != EL2 && c.hcrRead()&HCRIMO != 0 {
+		intid, _ := c.TakeIRQ()
 		c.trapE(Exception{EC: ECVirtIRQ, IRQ: intid})
 	}
 }
@@ -508,9 +550,10 @@ func (c *CPU) checkIRQ() {
 // TakeIRQ pops one pending physical interrupt; used by the host hypervisor
 // when it handles interrupts natively (while no guest is running).
 func (c *CPU) TakeIRQ() (int, bool) {
-	if len(c.pendingIRQ) == 0 {
+	if !c.HasPendingIRQ() {
 		return 0, false
 	}
+	c.irqTap.Write()
 	intid := c.pendingIRQ[0]
 	c.pendingIRQ = c.pendingIRQ[1:]
 	return intid, true
@@ -538,12 +581,12 @@ func (c *CPU) trapE(ev Exception) uint64 {
 // For read-style traps the handler's return value is the instruction's
 // result.
 func (c *CPU) trap(e *Exception) uint64 {
-	prevLevel := c.level
+	prevLevel := c.Level()
 	c.cycles += c.Cost.TrapEnter
 	c.attribute(prevLevel)
 	if c.Trace != nil {
 		ev := traceEvent(e)
-		ev.FromLevel = int(c.level)
+		ev.FromLevel = int(prevLevel)
 		ev.Cycle = c.cycles
 		c.Trace.Trap(ev)
 	}
@@ -553,7 +596,8 @@ func (c *CPU) trap(e *Exception) uint64 {
 	if c.Vector == nil {
 		panic(fmt.Sprintf("arm: trap %s with no EL2 vector installed", e.EC))
 	}
-	c.el, c.level = EL2, 0
+	c.set(stEL, uint64(EL2))
+	c.set(stLevel, 0)
 	var v uint64
 	if j := c.jit; j != nil && c.HookTrap == nil && c.HookTick == nil {
 		var exc [jit.ExcWords]uint64
@@ -572,8 +616,8 @@ func (c *CPU) trap(e *Exception) uint64 {
 	}
 	c.cycles += c.Cost.TrapReturn
 	c.attribute(0)
-	c.el = EL1
-	c.level = c.guestLevel
+	c.set(stEL, uint64(EL1))
+	c.set(stLevel, uint64(c.GuestLevel()))
 	c.deliverVIRQ()
 	return v
 }
@@ -584,18 +628,18 @@ func (c *CPU) trap(e *Exception) uint64 {
 // both for the top-level run loop and for emulating exception entry into a
 // guest hypervisor's virtual EL2 vector (forwarding an exit, Section 4).
 func (c *CPU) RunGuest(level VLevel, fn func()) {
-	if c.el != EL2 {
+	if c.EL() != EL2 {
 		panic("arm: RunGuest requires EL2")
 	}
 	c.cycles += c.Cost.TrapReturn
 	c.attribute(0)
-	c.el = EL1
+	c.set(stEL, uint64(EL1))
 	c.SetGuestLevel(level)
 	c.deliverVIRQ()
 	fn()
-	c.attribute(c.level)
-	c.el = EL2
-	c.level = 0
+	c.attribute(c.Level())
+	c.set(stEL, uint64(EL2))
+	c.set(stLevel, 0)
 }
 
 // deliverVIRQ delivers the highest-priority pending virtual interrupt from
@@ -603,7 +647,7 @@ func (c *CPU) RunGuest(level VLevel, fn func()) {
 // interface (Section 2: VMs acknowledge and complete virtual interrupts
 // without trapping).
 func (c *CPU) deliverVIRQ() {
-	if c.el != EL1 || c.inVIRQ || c.irqMasked || c.VIRQ == nil {
+	if c.EL() != EL1 || c.get(stInVIRQ) != 0 || c.get(stIRQMasked) != 0 || c.get(stVIRQ) == 0 {
 		return
 	}
 	c.regsTap.Read(int(ICH_HCR_EL2))
@@ -621,11 +665,11 @@ func (c *CPU) deliverVIRQ() {
 		c.regsTap.Read(int(lr))
 		before := c.regs[lr]
 		c.cycles += c.Cost.ExcEnterEL1
-		c.inVIRQ = true
-		c.irqMasked = true
-		c.VIRQ.HandleVIRQ(c, int(before&LRVIntIDMask))
-		c.inVIRQ = false
-		c.irqMasked = false
+		c.set(stInVIRQ, 1)
+		c.set(stIRQMasked, 1)
+		c.VIRQ().HandleVIRQ(c, int(before&LRVIntIDMask))
+		c.set(stInVIRQ, 0)
+		c.set(stIRQMasked, 0)
 		c.regsTap.Read(int(lr))
 		if c.regs[lr] == before {
 			// The guest did not acknowledge; stop to avoid livelock.
@@ -662,7 +706,7 @@ func (c *CPU) GuestWrite(ipa mem.Addr, size int, v uint64) {
 
 func (c *CPU) guestAccess(ipa mem.Addr, size int, write bool, wval uint64) (uint64, bool) {
 	pa := ipa
-	if c.el != EL2 && c.hcrRead()&HCRVM != 0 {
+	if c.EL() != EL2 && c.hcrRead()&HCRVM != 0 {
 		if c.S2 == nil {
 			panic("arm: stage-2 enabled with no MMU attached")
 		}

@@ -35,7 +35,7 @@ func newTestCPU(t *testing.T, feat Features) (*CPU, *recHandler) {
 // hypervisor would before running a guest.
 func enterGuestEL1(c *CPU, hcr uint64, level VLevel) {
 	c.SetReg(HCR_EL2, hcr)
-	c.el = EL1
+	c.st[stEL] = uint64(EL1)
 	c.SetGuestLevel(level)
 }
 
@@ -348,7 +348,7 @@ func (s *irqSink) HandleVIRQ(c *CPU, intid int) {
 func TestVirtualIRQDelivery(t *testing.T) {
 	c, _ := newTestCPU(t, FeaturesV83())
 	sink := &irqSink{ack: true}
-	c.VIRQ = sink
+	c.SetVIRQ(sink)
 	c.SetReg(ICH_HCR_EL2, ICHHCREn)
 	c.SetReg(ICH_LR0_EL2, MakeLR(35, -1))
 	enterGuestEL1(c, HCRIMO, 2)
@@ -369,7 +369,7 @@ func TestVirtualIRQDelivery(t *testing.T) {
 func TestVirtualIRQUnackedStops(t *testing.T) {
 	c, _ := newTestCPU(t, FeaturesV83())
 	sink := &irqSink{ack: false}
-	c.VIRQ = sink
+	c.SetVIRQ(sink)
 	c.SetReg(ICH_HCR_EL2, ICHHCREn)
 	c.SetReg(ICH_LR0_EL2, MakeLR(35, -1))
 	enterGuestEL1(c, HCRIMO, 2)
@@ -382,7 +382,7 @@ func TestVirtualIRQUnackedStops(t *testing.T) {
 func TestVirtualIRQRequiresEnableAndIMO(t *testing.T) {
 	c, _ := newTestCPU(t, FeaturesV83())
 	sink := &irqSink{}
-	c.VIRQ = sink
+	c.SetVIRQ(sink)
 	c.SetReg(ICH_LR0_EL2, MakeLR(35, -1))
 	enterGuestEL1(c, HCRIMO, 2) // ICH_HCR.En clear
 	c.Tick(1)

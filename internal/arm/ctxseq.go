@@ -67,7 +67,7 @@ func (c *CPU) seqRec(store *[NumSysRegs]uint64) (*jit.Engine, jit.FileID) {
 // SaveSeq reads the sequence into store (store[slots[i]] = MRS(regs[i])).
 func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.el != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	if c.EL() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
 		for i, r := range seq.regs {
 			v := c.MRS(r)
 			if rec != nil {
@@ -102,7 +102,7 @@ func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 // LoadSeq writes the sequence from store (MSR(regs[i], store[slots[i]])).
 func (c *CPU) LoadSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.el != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	if c.EL() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
 		for i, r := range seq.regs {
 			if rec != nil {
 				rec.FileRead(fid, int(seq.slots[i]))

@@ -3,36 +3,56 @@ package arm
 import "github.com/nevesim/neve/internal/jit"
 
 // This file is the CPU model's side of the trace-JIT layer: cause packing
-// for the recorder key, the state walk, and the clock hooks. The dispatch
-// itself is inlined into trap() so the interpreted path pays one nil check.
+// for the recorder key, the tracked mode words, and the clock hooks. The
+// dispatch itself is inlined into trap() so the interpreted path pays one
+// nil check.
+
+// Mode word indices into CPU.st. regs is already maxFileWords long, so the
+// mode words are a file of their own. Each word is one field, so no setter
+// is a read-modify-write.
+const (
+	stEL = iota
+	stLevel
+	stGuestLevel
+	stIRQMasked
+	stInVIRQ
+	stNV2Val
+	// stVIRQ indexes CPU.sinks (0 is no sink); the table is append-only,
+	// so a replayed index stays valid.
+	stVIRQ
+	numStWords
+)
+
+func (c *CPU) get(i int) uint64 {
+	c.stTap.Read(i)
+	return c.st[i]
+}
+
+func (c *CPU) set(i int, v uint64) {
+	c.stTap.Write(i)
+	c.st[i] = v
+}
 
 // SetJIT attaches (or detaches, with nil) the trace-JIT engine. The poison
 // hook is bound once here so JITPoison costs a nil check when no engine is
-// installed, and the core's register file is registered with the engine
-// for read/write-set tracking (its accessors notify c.regsTap).
+// installed, and the core's register file, mode words and pending-IRQ
+// queue are registered for tracking. Registration is idempotent, so
+// re-attaching (SMP runs detach the engine) reuses the existing IDs.
 func (c *CPU) SetJIT(j *jit.Engine) {
 	c.jit = j
-	if j != nil {
-		c.jitPoison = j.Poison
-		// Re-attaching an engine this core was already registered with
-		// (the SMP engine detaches the whole-stack engine for every run)
-		// must reuse the existing file ID: registering the same backing
-		// array twice would leak IDs and split the read/write sets.
-		id := j.FileByBase(&c.regs[0])
-		if id == 0 {
-			id = j.RegisterFile(c.regs[:])
-		}
-		c.regsTap = j.Tap(id)
-		c.regsFID = id
-	} else {
-		c.jitPoison = nil
-		c.regsTap = nil
-		c.regsFID = 0
+	if j == nil {
+		c.jitPoison, c.regsTap, c.regsFID, c.stTap, c.irqTap = nil, nil, 0, nil, nil
+		return
 	}
+	c.jitPoison = j.Poison
+	c.regsFID = j.RegisterFile(c.regs[:])
+	c.regsTap = j.Tap(c.regsFID)
+	c.stTap = j.Tap(j.RegisterFile(c.st[:]))
+	c.irqTap = j.RegisterQueue(&c.pendingIRQ)
 }
 
 // JITPoison marks the active JIT recording, if any, non-promotable. Model
-// code called from trap handlers whose effects the JIT state walk cannot
+// code called from trap handlers whose effects no tracked word can
 // express (NEVE page accesses, virtual interrupt delivery into a guest,
 // enabled-timer evaluation) calls it.
 func (c *CPU) JITPoison() {
@@ -53,40 +73,6 @@ func PackExc(e *Exception, w *[jit.ExcWords]uint64) {
 	w[1] = e.Val
 	w[2] = uint64(e.FaultIPA)
 	w[3] = uint64(e.IRQ)
-}
-
-// WalkJIT walks the core's replay-relevant state for the engine (the stack
-// model wraps it in its own jit.Source together with the hypervisor-side
-// state). Excluded, deliberately: cycle accounting (expressed as a
-// ClockDelta), the exception pool and depth (scratch private to in-flight
-// interpreted traps, which lets a super-op recorded at one nesting depth
-// hit at another), the device dispatch tables (fixed at construction), and
-// the system register file, which is tracked by read/write set through
-// c.regsTap instead of being walked (see SetJIT).
-func (c *CPU) WalkJIT(w *jit.W) {
-	if c.regsTap == nil {
-		// A core the engine does not track cannot have its register reads
-		// guarded; no super-op may span it.
-		w.Fail()
-		return
-	}
-	// The mode fields pack into one walk word; every field round-trips
-	// exactly (ELs and levels are tiny enums).
-	pack := uint64(c.el) | uint64(c.level)<<8 | uint64(c.guestLevel)<<16
-	if c.irqMasked {
-		pack |= 1 << 24
-	}
-	if c.inVIRQ {
-		pack |= 1 << 25
-	}
-	w.Word(&pack)
-	c.el = EL(pack & 0xff)
-	c.level = VLevel(pack >> 8 & 0xff)
-	c.guestLevel = VLevel(pack >> 16 & 0xff)
-	c.irqMasked = pack&(1<<24) != 0
-	c.inVIRQ = pack&(1<<25) != 0
-	w.Word(&c.nv2Val)
-	w.IntSlice(&c.pendingIRQ)
 }
 
 // JITClockState snapshots the core's cycle accounting for the engine.

@@ -159,9 +159,8 @@ func FuzzDifferentialNVvsNEVE(f *testing.F) {
 		// record/poison machinery and the tracked deferred-access-page
 		// stores. A fault kind drawn from the input fires halfway through
 		// the program — mid-replay — and
-		// must perturb both runs identically: a perturbed walked or tracked
-		// word bails the super-op to the interpreter, never replays stale
-		// state.
+		// must perturb both runs identically: guarded-state perturbations
+		// bail the super-op to the interpreter, never replay stale state.
 		kinds := fault.AllKinds()
 		var kind fault.Kind
 		var seed uint64

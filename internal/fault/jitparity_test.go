@@ -5,8 +5,8 @@
 // the JIT at the trap site, precisely because its hooks observe every
 // trap), using the same deterministic draws the injector would make, so a
 // jit-on and a jit-off run see the identical fault at the identical
-// point. A perturbed walked word must bail the affected super-ops to the
-// interpreter; a perturbation outside the guard (guest RAM) must be
+// point. A guarded-state perturbation must bail the affected super-ops to
+// the interpreter; a perturbation outside the guard (guest RAM) must be
 // invisible to replay exactly as it is to the interpreted sequence —
 // recordings that touch memory are never promoted.
 package fault_test
@@ -134,11 +134,11 @@ func faultParityRun(t *testing.T, name string, jitOff bool, k fault.Kind) (sig s
 }
 
 // TestJITFaultParity: for every fault kind, on a nested stack that
-// promotes heavily (v8.3) and a NEVE stack with deferred pages to corrupt
-// (neve-vhe), the jit-on run must be byte-identical to the interpreted
-// run.
+// promotes heavily (v8.3), a NEVE stack with deferred pages to corrupt
+// (neve-vhe), and the three-level recursive stack (recursive-neve), the
+// jit-on run must be byte-identical to the interpreted run.
 func TestJITFaultParity(t *testing.T) {
-	for _, name := range []string{"v8.3", "neve-vhe"} {
+	for _, name := range []string{"v8.3", "neve-vhe", "recursive-neve"} {
 		for _, k := range fault.AllKinds() {
 			k := k
 			t.Run(fmt.Sprintf("%s/%s", name, k), func(t *testing.T) {

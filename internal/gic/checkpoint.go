@@ -12,25 +12,31 @@ type DistCheckpoint struct {
 
 // Checkpoint captures the distributor state.
 func (d *Dist) Checkpoint() *DistCheckpoint {
-	return &DistCheckpoint{
-		enabled: d.enabled,
-		pending: d.pending,
-		active:  d.active,
+	cp := &DistCheckpoint{
+		enabled: d.bits[wEnabled],
+		pending: d.bits[wPending],
+		active:  d.bits[wActive],
 		route:   d.route,
-		ctlr:    d.ctlr,
+		ctlr:    uint32(d.w[wCTLR]),
 	}
+	for i := 0; i < jitINTIDs; i++ {
+		cp.enabled[i] = d.w[wEnabled]&(1<<uint(i)) != 0
+		cp.pending[i] = d.w[wPending]&(1<<uint(i)) != 0
+		cp.active[i] = d.w[wActive]&(1<<uint(i)) != 0
+	}
+	return cp
 }
 
 // Restore returns the distributor to a checkpointed state.
 func (d *Dist) Restore(cp *DistCheckpoint) {
-	d.enabled = cp.enabled
-	d.pending = cp.pending
-	d.active = cp.active
+	d.bits = [3][NumINTIDs]bool{cp.enabled, cp.pending, cp.active}
 	d.route = cp.route
-	d.ctlr = cp.ctlr
-	d.enabledW = pack(d.enabled[:jitINTIDs])
-	d.pendingW = pack(d.pending[:jitINTIDs])
-	d.activeW = pack(d.active[:jitINTIDs])
+	d.w = [numWords]uint64{
+		wEnabled: pack(cp.enabled[:jitINTIDs]),
+		wPending: pack(cp.pending[:jitINTIDs]),
+		wActive:  pack(cp.active[:jitINTIDs]),
+		wCTLR:    uint64(cp.ctlr),
+	}
 	d.gen++
 }
 

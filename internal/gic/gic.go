@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"github.com/nevesim/neve/internal/arm"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 )
 
@@ -64,24 +65,21 @@ type Target interface {
 type Dist struct {
 	targets []Target
 
-	enabled [NumINTIDs]bool
-	pending [NumINTIDs]bool
-	active  [NumINTIDs]bool
-	// enabledW/pendingW/activeW mirror the low jitINTIDs bits of the
-	// bool arrays as packed words, maintained by the set* funnels; the
-	// JIT state walk guards and restores the packed words instead of
-	// iterating the arrays (see jit.go).
-	enabledW uint64
-	pendingW uint64
-	activeW  uint64
+	// bits holds the enabled/pending/active state (indexed by wEnabled,
+	// wPending, wActive) of interrupts at or above jitINTIDs; below it
+	// the packed words in w are the only copy. Every access goes through
+	// bit/setBit (see jit.go).
+	bits [3][NumINTIDs]bool
+	// w is the trace-JIT-tracked file (the w* indices in jit.go).
+	w  [numWords]uint64
+	jt *jit.FileTap
 	// route is the target core for SPIs.
 	route [NumINTIDs]int
-	ctlr  uint32
 
-	// gen counts mutations the JIT state walk does not track
-	// word-for-word: routing changes and interrupt IDs at or above
-	// jitINTIDs. It is pinned as a walk shape word (see jit.go), so
-	// bumping it invalidates every compiled super-op.
+	// gen counts mutations the tracked words do not express: routing
+	// changes, interrupt IDs at or above jitINTIDs, and bulk
+	// reconfiguration. It is part of the trace-JIT's structural
+	// generation, so bumping it invalidates every compiled super-op.
 	gen uint64
 }
 
@@ -97,18 +95,17 @@ func (d *Dist) AddTarget(t Target) { d.targets = append(d.targets, t) }
 // EnableAll enables every interrupt, the common post-boot configuration of
 // the modeled workloads.
 func (d *Dist) EnableAll() {
-	for i := range d.enabled {
-		d.enabled[i] = true
+	for i := range d.bits[wEnabled] {
+		d.bits[wEnabled][i] = true
 	}
-	d.enabledW = ^uint64(0)
-	d.ctlr = 1
+	d.w[wEnabled] = ^uint64(0)
+	d.w[wCTLR] = 1
 	d.gen++
 }
 
 // Enable enables one interrupt.
 func (d *Dist) Enable(intid int) {
-	d.setEnabled(d.check(intid), true)
-	d.touch(intid)
+	d.setBit(wEnabled, d.check(intid), true)
 }
 
 // Route sets the target core of an SPI.
@@ -140,20 +137,19 @@ func (d *Dist) AssertSPI(intid int) {
 	// touching distributor state at all — the transient pending set/clear
 	// nets out, and skipping touch() keeps concurrent in-segment
 	// self-delivery (a core asserting its own timer or device interrupt)
-	// free of writes to shared words; only the target core's walked
+	// free of writes to shared words; only the target core's tracked
 	// pending queue mutates.
-	if d.enabled[intid] && !d.pending[intid] {
+	if d.bit(wEnabled, intid) && !d.bit(wPending, intid) {
 		d.deliver(d.route[intid], intid)
 		return
 	}
-	d.touch(intid)
-	if !d.enabled[intid] {
-		d.setPending(intid, true)
+	if !d.bit(wEnabled, intid) {
+		d.setBit(wPending, intid, true)
 		return
 	}
-	d.setPending(intid, true)
+	d.setBit(wPending, intid, true)
 	d.deliver(d.route[intid], intid)
-	d.setPending(intid, false)
+	d.setBit(wPending, intid, false)
 }
 
 // AssertPPI raises a private interrupt on one core (edge semantics, as
@@ -161,18 +157,17 @@ func (d *Dist) AssertSPI(intid int) {
 func (d *Dist) AssertPPI(cpu, intid int) {
 	d.check(intid)
 	// Mutation-free fast path; see AssertSPI.
-	if d.enabled[intid] && !d.pending[intid] {
+	if d.bit(wEnabled, intid) && !d.bit(wPending, intid) {
 		d.deliver(cpu, intid)
 		return
 	}
-	d.touch(intid)
-	if !d.enabled[intid] {
-		d.setPending(intid, true)
+	if !d.bit(wEnabled, intid) {
+		d.setBit(wPending, intid, true)
 		return
 	}
-	d.setPending(intid, true)
+	d.setBit(wPending, intid, true)
 	d.deliver(cpu, intid)
-	d.setPending(intid, false)
+	d.setBit(wPending, intid, false)
 }
 
 // SendSGI raises a software-generated interrupt on the target core: the
@@ -181,7 +176,7 @@ func (d *Dist) SendSGI(targetCPU, intid int) {
 	if intid > MaxSGI {
 		panic(fmt.Sprintf("gic: SendSGI of non-SGI %d", intid))
 	}
-	d.setPending(intid, true)
+	d.setBit(wPending, intid, true)
 	d.deliver(targetCPU, intid)
 }
 
@@ -195,9 +190,8 @@ func (d *Dist) deliver(cpu, intid int) {
 // Activate marks a delivered interrupt active (ack by the hypervisor).
 func (d *Dist) Activate(intid int) {
 	d.check(intid)
-	d.touch(intid)
-	d.setPending(intid, false)
-	d.setActive(intid, true)
+	d.setBit(wPending, intid, false)
+	d.setBit(wActive, intid, true)
 }
 
 // Deactivate completes a physical interrupt. The virtual CPU interface
@@ -206,15 +200,14 @@ func (d *Dist) Activate(intid int) {
 // EOI path of Table 1).
 func (d *Dist) Deactivate(intid int) {
 	d.check(intid)
-	d.touch(intid)
-	d.setActive(intid, false)
+	d.setBit(wActive, intid, false)
 }
 
 // IsPending reports whether an interrupt is pending (tests, diagnostics).
-func (d *Dist) IsPending(intid int) bool { return d.pending[d.check(intid)] }
+func (d *Dist) IsPending(intid int) bool { return d.bit(wPending, d.check(intid)) }
 
 // IsActive reports whether an interrupt is active.
-func (d *Dist) IsActive(intid int) bool { return d.active[d.check(intid)] }
+func (d *Dist) IsActive(intid int) bool { return d.bit(wActive, d.check(intid)) }
 
 // Access implements the host-side MMIO window (arm.PhysBus is wired through
 // the machine's bus, which dispatches by address range).
@@ -226,7 +219,8 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 	if !write {
 		switch off {
 		case RegCTLR:
-			*val = uint64(d.ctlr)
+			d.jt.Read(wCTLR)
+			*val = uint64(uint32(d.w[wCTLR]))
 		default:
 			*val = 0
 		}
@@ -234,7 +228,8 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 	}
 	switch {
 	case off == RegCTLR:
-		d.ctlr = uint32(*val)
+		d.jt.Write(wCTLR)
+		d.w[wCTLR] = uint64(uint32(*val))
 	case off == RegSGIR:
 		// GICv2 SGIR format (simplified): target core in [23:16],
 		// interrupt ID in [3:0].
@@ -243,16 +238,14 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 		base := int(off-RegISENABLER) * 8
 		for b := 0; b < 32 && base+b < NumINTIDs; b++ {
 			if *val&(1<<uint(b)) != 0 {
-				d.setEnabled(base+b, true)
-				d.touch(base + b)
+				d.setBit(wEnabled, base+b, true)
 			}
 		}
 	case off >= RegICENABLER && off < RegICENABLER+NumINTIDs/8:
 		base := int(off-RegICENABLER) * 8
 		for b := 0; b < 32 && base+b < NumINTIDs; b++ {
 			if *val&(1<<uint(b)) != 0 {
-				d.setEnabled(base+b, false)
-				d.touch(base + b)
+				d.setBit(wEnabled, base+b, false)
 			}
 		}
 	}

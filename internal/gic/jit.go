@@ -2,62 +2,58 @@ package gic
 
 import "github.com/nevesim/neve/internal/jit"
 
-// jitINTIDs bounds the interrupt IDs the JIT state walk tracks
-// individually, as per-array bitmap words. Every interrupt the model
-// actually signals — SGIs, PPIs, and the device SPIs — lies below it;
-// mutations at or above it, and all routing changes, bump gen instead,
-// which fails the guard of every previously compiled super-op.
+// jitINTIDs bounds the interrupt IDs whose state lives in the packed,
+// trace-JIT-tracked words. Every interrupt the model actually signals —
+// SGIs, PPIs, and the device SPIs — lies below it; mutations at or above
+// it, and all routing changes, bump gen instead, which fails the guard of
+// every previously compiled super-op.
 const jitINTIDs = 64
 
-// WalkJIT implements jit.Source for the distributor: the low interrupt
-// state as the three packed mirror words plus the control register, with
-// the target list length and the coarse-mutation generation pinned as
-// shape words (recorded sequences never change them; anything else that
-// does must invalidate compiled super-ops).
-func (d *Dist) WalkJIT(w *jit.W) {
-	w.Shape(uint64(len(d.targets)))
-	w.Shape(d.gen)
-	walkPacked(w, &d.enabledW, d.enabled[:jitINTIDs])
-	walkPacked(w, &d.pendingW, d.pending[:jitINTIDs])
-	walkPacked(w, &d.activeW, d.active[:jitINTIDs])
-	tmp := uint64(d.ctlr)
-	w.Word(&tmp)
-	d.ctlr = uint32(tmp)
-}
+// Tracked word indices into Dist.w: the enabled/pending/active state of
+// the interrupts below jitINTIDs, one bit each, and the control register.
+const (
+	wEnabled = iota
+	wPending
+	wActive
+	wCTLR
+	numWords
+)
 
-// walkPacked walks a bitmap through its packed mirror word; only a
-// restore that changes the mirror pays the unpack back into the array.
-func walkPacked(w *jit.W, word *uint64, bits []bool) {
-	old := *word
-	w.Word(word)
-	if *word == old {
-		return
-	}
-	for i := range bits {
-		bits[i] = *word&(1<<uint(i)) != 0
+// SetJIT registers the distributor's tracked words with a trace-JIT
+// engine (nil detaches).
+func (d *Dist) SetJIT(j *jit.Engine) {
+	d.jt = nil
+	if j != nil {
+		d.jt = j.Tap(j.RegisterFile(d.w[:]))
 	}
 }
 
-// setEnabled/setPending/setActive funnel every interrupt-bitmap mutation
-// so the packed mirrors stay in sync with the bool arrays.
-func (d *Dist) setEnabled(i int, v bool) { d.enabled[i] = v; mirror(&d.enabledW, i, v) }
-func (d *Dist) setPending(i int, v bool) { d.pending[i] = v; mirror(&d.pendingW, i, v) }
-func (d *Dist) setActive(i int, v bool)  { d.active[i] = v; mirror(&d.activeW, i, v) }
+// Gen returns the distributor's coarse-mutation generation: it moves on
+// every change the tracked words do not express.
+func (d *Dist) Gen() uint64 { return d.gen }
 
-func mirror(w *uint64, i int, v bool) {
+// bit reads interrupt i's state in array a (wEnabled, wPending, wActive).
+func (d *Dist) bit(a, i int) bool {
 	if i >= jitINTIDs {
-		return
+		return d.bits[a][i]
 	}
-	if v {
-		*w |= 1 << uint(i)
-	} else {
-		*w &^= 1 << uint(i)
-	}
+	d.jt.Read(a)
+	return d.w[a]&(1<<uint(i)) != 0
 }
 
-// touch records a mutation the walk does not cover word-for-word.
-func (d *Dist) touch(intid int) {
-	if intid < 0 || intid >= jitINTIDs {
+// setBit funnels every interrupt-state mutation. A packed word is
+// read-modify-written, so its read is reported before the write.
+func (d *Dist) setBit(a, i int, v bool) {
+	if i >= jitINTIDs {
+		d.bits[a][i] = v
 		d.gen++
+		return
+	}
+	d.jt.Read(a)
+	d.jt.Write(a)
+	if v {
+		d.w[a] |= 1 << uint(i)
+	} else {
+		d.w[a] &^= 1 << uint(i)
 	}
 }

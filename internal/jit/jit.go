@@ -1,23 +1,24 @@
 // Package jit is the trace-JIT layer: it records hot trap/world-switch
 // sequences as they execute interpreted, promotes causes that recur above a
 // threshold into super-ops — a precomputed aggregate state delta (register
-// writes, cycle charges, trace-counter increments) validated against a guard
-// vector of preconditions — and replays them with a single dispatch instead
-// of N interpreted traps.
+// writes, cycle charges, trace-counter increments) validated against the
+// preconditions the recording consumed — and replays them with a single
+// dispatch instead of N interpreted traps.
 //
-// Correctness rests on one invariant: a super-op replays if and only if the
-// complete walked machine state equals the state the recording started from
-// (the guard), every word of a tracked register file the recording read
-// still holds the value it read (the file guard — large register files are
-// not walked wholesale; their accesses funnel through FileRead/FileWrite
-// taps, so a recording guards exactly its read set and restores exactly its
-// write set), every stage-2 TLB translation the recording consumed is still
-// cached with the same result (the probes), and nothing outside the walked
-// or tracked state was touched during the recording (enforced by poisoning:
-// memory, device, and TLB mutation hooks armed for the duration of a
-// recording mark it non-promotable, as does any access to an unregistered
-// file). On any guard mismatch the trap runs interpreted with zero
-// behavioral difference.
+// Model state reaches the engine only through taps. A tracked file's
+// accessors report word reads and writes through a FileTap, a tracked
+// queue's through a QueueTap, so a super-op guards exactly its read set
+// and commits exactly its write set. Facts no tracked word expresses (the
+// creation of lazily built objects, coarse device reconfiguration) move
+// one structural generation (Hooks.Gen), compared once per attempt.
+// Everything else is poisoned: memory, device, and TLB mutation hooks
+// armed for the duration of a recording mark it non-promotable, as does
+// any access to an unregistered file. A super-op therefore replays if and
+// only if every tracked word and queue it read still holds what it read,
+// the generation is the one it was recorded under, and every stage-2 TLB
+// translation it consumed is still cached with the same result (the
+// probes). On any mismatch the trap runs interpreted with zero behavioral
+// difference.
 //
 // Every guard is a value guard. A register copy between tracked files (the
 // batched world-switch sequences, context-to-context bookkeeping moves) is
@@ -26,7 +27,11 @@
 // of the destination, whose final value promotion harvests as a constant.
 package jit
 
-import "github.com/nevesim/neve/internal/trace"
+import (
+	"slices"
+
+	"github.com/nevesim/neve/internal/trace"
+)
 
 // ExcWords is the number of packed words identifying a trap cause; the
 // (cpu, cause) pair keys the recorder.
@@ -51,7 +56,7 @@ const (
 	// recording.
 	defaultThreshold = 2
 	// poisonLimit retires a trap cause after this many failed recordings;
-	// causes that keep touching unwalked state are never worth retrying.
+	// causes that keep touching untracked state are never worth retrying.
 	poisonLimit = 4
 	// maxChain bounds the super-op variants kept per cause; move-to-front
 	// keeps the matching variant's guard check first, so a longer chain
@@ -93,13 +98,6 @@ type ClockDelta struct {
 	PostGap uint64
 }
 
-// Source walks one subsystem's replay-relevant state. The same walk runs in
-// capture, match, and restore mode; the walk order must be deterministic
-// and any state-dependent branching must be pinned with Shape words.
-type Source interface {
-	WalkJIT(w *W)
-}
-
 // Hooks connects the engine to the machine it accelerates.
 type Hooks struct {
 	NumCPUs      int
@@ -116,174 +114,16 @@ type Hooks struct {
 	// clock fact the replay guard needs, fetched without copying the full
 	// ClockState.
 	ClockGap func(cpu int) uint64
-	Trace    *trace.Collector
+	// Gen returns the structural generation. It moves whenever a fact no
+	// tracked word expresses changes; replay requires the generation its
+	// recording ran under, and a recording during which it moves is not
+	// promoted.
+	Gen   func() uint64
+	Trace *trace.Collector
 	// Arm and Disarm install and remove the poison taps on memory,
 	// devices, and the TLB for the duration of a recording.
 	Arm    func()
 	Disarm func()
-}
-
-type walkMode int
-
-const (
-	modeCapture walkMode = iota
-	modeMatch
-	modeRestore
-)
-
-// W is the state walker. One walk implementation per subsystem serves all
-// three uses: capture appends the live state to a vector, match compares
-// the live state against a recorded vector, and restore writes a recorded
-// vector back into the live state.
-//
-// Two cursors advance together: data words (values that may change across
-// the super-op and are restored on replay) and shape words (structural
-// facts — presence of lazily-created objects, configuration bits — that
-// must be identical before and after the recorded sequence; promotion
-// rejects recordings whose shape changed, which is what makes the restore
-// walk structurally equal to the capture walks).
-type W struct {
-	mode   walkMode
-	failed bool
-	data   []uint64
-	pos    int
-	shapes []uint64
-	spos   int
-}
-
-// Word walks one data word through p. In restore mode the recorded value is
-// written back, so walks using a temporary must copy it out afterwards:
-//
-//	tmp := uint64(c.el); w.Word(&tmp); c.el = EL(tmp)
-//
-// is correct in all three modes.
-func (w *W) Word(p *uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, *p)
-	case modeMatch:
-		if w.pos >= len(w.data) || w.data[w.pos] != *p {
-			w.failed = true
-			return
-		}
-		w.pos++
-	case modeRestore:
-		if w.pos >= len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		*p = w.data[w.pos]
-		w.pos++
-	}
-}
-
-// Words walks a contiguous run of data words in place.
-func (w *W) Words(s []uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, s...)
-	case modeMatch:
-		if w.pos+len(s) > len(w.data) {
-			w.failed = true
-			return
-		}
-		rec := w.data[w.pos : w.pos+len(s)]
-		for i := range s {
-			if rec[i] != s[i] {
-				w.failed = true
-				return
-			}
-		}
-		w.pos += len(s)
-	case modeRestore:
-		if w.pos+len(s) > len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		copy(s, w.data[w.pos:w.pos+len(s)])
-		w.pos += len(s)
-	}
-}
-
-// IntSlice walks a variable-length int slice: its length is a data word
-// (lengths may legitimately differ between the pre and post state — e.g. a
-// pending-interrupt queue drained by the sequence) followed by the
-// elements. Restore reuses the slice's backing storage when it fits.
-func (w *W) IntSlice(p *[]int) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, uint64(len(*p)))
-		for _, v := range *p {
-			w.data = append(w.data, uint64(v))
-		}
-	case modeMatch:
-		if w.pos >= len(w.data) || w.data[w.pos] != uint64(len(*p)) {
-			w.failed = true
-			return
-		}
-		w.pos++
-		rec := w.data[w.pos:]
-		for i, v := range *p {
-			if rec[i] != uint64(v) {
-				w.failed = true
-				return
-			}
-		}
-		w.pos += len(*p)
-	case modeRestore:
-		if w.pos >= len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		n := int(w.data[w.pos])
-		w.pos++
-		s := (*p)[:0]
-		for i := 0; i < n; i++ {
-			s = append(s, int(w.data[w.pos+i]))
-		}
-		w.pos += n
-		*p = s
-	}
-}
-
-// Shape walks one structural word. Capture records it, match guards it, and
-// restore ignores it: promotion only succeeds when the pre and post shape
-// vectors are identical, so after a successful match the live shape already
-// equals the recorded one.
-func (w *W) Shape(v uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.shapes = append(w.shapes, v)
-	case modeMatch:
-		if w.spos >= len(w.shapes) || w.shapes[w.spos] != v {
-			w.failed = true
-			return
-		}
-		w.spos++
-	}
-}
-
-// Fail marks state the walk cannot express (an in-flight forwarding record,
-// an unknown interrupt sink). Capture poisons the recording, match fails
-// the guard; in restore mode it is unreachable after a successful match and
-// panics to surface the soundness bug immediately.
-func (w *W) Fail() {
-	if w.failed {
-		return
-	}
-	if w.mode == modeRestore {
-		panic("jit: restore walk diverged after a successful guard match")
-	}
-	w.failed = true
 }
 
 // FileID names a register file registered for read/write-set tracking;
@@ -300,10 +140,10 @@ type fileWord struct {
 }
 
 // ptrWord is a promoted fileWord: the (file, index) pair resolved to the
-// word's address. Registered files never move — they are fixed-size
-// arrays embedded in stack topology structs, and snapshot restore
-// assigns into them rather than replacing them — so promotion resolves
-// each tracked word once and replay pays a single dereference.
+// word's address. Registered files never move — their storage is
+// allocated once with the stack topology, and snapshot restore writes
+// into it rather than replacing it — so promotion resolves each tracked
+// word once and replay pays a single dereference.
 type ptrWord struct {
 	p   *uint64
 	val uint64
@@ -313,18 +153,33 @@ type ptrWord struct {
 // fixed words (arm.NumSysRegs fits).
 const maxFileWords = 128
 
-// RegisterFile registers a register file for read/write-set tracking.
-// Instead of walking (and guarding) all of it on every dispatch, the
+// RegisterFile registers a register file for read/write-set tracking: the
 // file's accessors report reads and writes through a FileTap during
-// recordings, so a super-op guards exactly the words it read and
-// restores exactly the words it wrote. Every access path to the file
-// must funnel through the tap; an access to a file that is not
-// registered must poison (see FileTap and the walk sources).
+// recordings, so a super-op guards exactly the words it read and restores
+// exactly the words it wrote. Every access path to the file must funnel
+// through the tap. Registering a file again returns its existing ID.
 func (e *Engine) RegisterFile(f []uint64) FileID {
+	return e.register(f, false)
+}
+
+// RegisterFlags registers a file of in-flight flags: words that are zero
+// except while a record the model keeps outside tracked state (a queued
+// exit, say) is pending. A promotable recording reads every flag it
+// observes as zero and leaves every flag it writes zero, so a super-op
+// neither consumes a record it did not create nor leaves one in flight.
+func (e *Engine) RegisterFlags(f []uint64) FileID {
+	return e.register(f, true)
+}
+
+func (e *Engine) register(f []uint64, flags bool) FileID {
 	if len(f) == 0 || len(f) > maxFileWords {
 		panic("jit: register file size unsupported for tracking")
 	}
+	if id := e.fileBases[&f[0]]; id != 0 {
+		return id
+	}
 	e.files = append(e.files, f)
+	e.flags = append(e.flags, flags)
 	id := FileID(len(e.files))
 	if e.fileBases == nil {
 		e.fileBases = make(map[*uint64]FileID)
@@ -354,42 +209,37 @@ type FileTap struct {
 // Read reports a read of word idx.
 func (t *FileTap) Read(idx int) {
 	if t != nil && t.e.rec != nil {
-		t.e.FileRead(t.id, idx)
+		t.read(idx)
 	}
 }
 
 // Write reports a write of word idx.
 func (t *FileTap) Write(idx int) {
 	if t != nil && t.e.rec != nil {
-		t.e.FileWrite(t.id, idx)
+		t.write(idx)
 	}
 }
+
+// read and write are the recording-only slow paths, kept out of line so
+// that the taps stay cheap enough to inline into every model accessor.
+//
+//go:noinline
+func (t *FileTap) read(idx int) { t.e.fileAccess(t.id, idx, false) }
+
+//go:noinline
+func (t *FileTap) write(idx int) { t.e.fileAccess(t.id, idx, true) }
 
 // FileRead records a tracked-file read during a recording: the first
 // read of a word the recording has not already written guards the value
 // being read. Later reads, and reads of self-written words, are derived
 // from state already guarded or produced by the recording itself.
-func (e *Engine) FileRead(f FileID, idx int) {
-	rec := e.rec
-	if rec == nil || rec.poisoned {
-		return
-	}
-	if f <= 0 {
-		rec.poisoned = true
-		return
-	}
-	i := int(f) - 1
-	word, bit := idx>>6, uint64(1)<<uint(idx&63)
-	if (e.rdSeen[i][word]|e.wrSeen[i][word])&bit != 0 {
-		return
-	}
-	e.rdSeen[i][word] |= bit
-	rec.freads = append(rec.freads, fileWord{f, int32(idx), e.files[i][idx]})
-}
+func (e *Engine) FileRead(f FileID, idx int) { e.fileAccess(f, idx, false) }
 
 // FileWrite records a tracked-file write during a recording; the final
 // value is harvested from the file when the recording is promoted.
-func (e *Engine) FileWrite(f FileID, idx int) {
+func (e *Engine) FileWrite(f FileID, idx int) { e.fileAccess(f, idx, true) }
+
+func (e *Engine) fileAccess(f FileID, idx int, write bool) {
 	rec := e.rec
 	if rec == nil || rec.poisoned {
 		return
@@ -400,27 +250,95 @@ func (e *Engine) FileWrite(f FileID, idx int) {
 	}
 	i := int(f) - 1
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
-	if e.wrSeen[i][word]&bit != 0 {
+	switch {
+	case write && e.wrSeen[i][word]&bit == 0:
+		e.wrSeen[i][word] |= bit
+		rec.fwrites = append(rec.fwrites, fileWord{f, int32(idx), 0})
+	case !write && (e.rdSeen[i][word]|e.wrSeen[i][word])&bit == 0:
+		e.rdSeen[i][word] |= bit
+		rec.freads = append(rec.freads, fileWord{f, int32(idx), e.files[i][idx]})
+	}
+}
+
+// RegisterQueue registers a variable-length interrupt queue for tracking
+// at whole-queue granularity and returns its notifier. Registering a queue
+// again returns a notifier for the existing registration.
+func (e *Engine) RegisterQueue(q *[]int) *QueueTap {
+	i := slices.Index(e.queues, q)
+	if i < 0 {
+		i = len(e.queues)
+		e.queues = append(e.queues, q)
+		e.qseen = append(e.qseen, 0)
+	}
+	return &QueueTap{e: e, id: int32(i)}
+}
+
+// QueueTap is a tracked queue's access notifier; like FileTap, the nil
+// receiver is valid and free. The first access in a recording guards the
+// queue's whole contents; a mutation puts its final contents in the write
+// set, and replay refills the queue's backing array with them.
+type QueueTap struct {
+	e  *Engine
+	id int32
+}
+
+// Read reports that the queue's contents are about to be observed.
+func (t *QueueTap) Read() {
+	if t != nil && t.e.rec != nil {
+		t.access(qGuarded)
+	}
+}
+
+// Write reports that the queue is about to be mutated. Every queue
+// mutation depends on the prior contents, so it guards them as well.
+func (t *QueueTap) Write() {
+	if t != nil && t.e.rec != nil {
+		t.access(qWritten)
+	}
+}
+
+// access is the out-of-line slow path, as for FileTap.
+//
+//go:noinline
+func (t *QueueTap) access(st uint8) { t.e.queueAccess(t.id, st) }
+
+// Per-recording queue states (Engine.qseen), in order: a written queue is
+// also guarded.
+const (
+	qGuarded uint8 = 1 + iota
+	qWritten
+)
+
+// queueVal is a queue guard or delta: the queue and its contents.
+type queueVal struct {
+	q    *[]int
+	vals []int
+}
+
+func (e *Engine) queueAccess(id int32, st uint8) {
+	rec, seen := e.rec, e.qseen[id]
+	if rec.poisoned || seen >= st {
 		return
 	}
-	e.wrSeen[i][word] |= bit
-	rec.fwrites = append(rec.fwrites, fileWord{f, int32(idx), 0})
+	if seen == 0 {
+		rec.qreads = append(rec.qreads, queueVal{e.queues[id], slices.Clone(*e.queues[id])})
+	}
+	if st == qWritten {
+		rec.qwrites = append(rec.qwrites, id)
+	}
+	e.qseen[id] = st
 }
 
 // superOp is the compiled form of one recorded trap sequence.
 type superOp struct {
-	exc     [ExcWords]uint64
-	guard   []uint64
-	gshapes []uint64
-	post    []uint64
-	// walkClean marks post identical to guard: the sequence left every
-	// walked word as it found it (common for pure-read traps), so replay
-	// skips the restore walk — after a successful match it would only
-	// write back the values already live.
-	walkClean bool
-	freads    []ptrWord
-	fwrites   []ptrWord
-	probes    []Probe
+	exc [ExcWords]uint64
+	// gen is the structural generation the recording ran under.
+	gen     uint64
+	freads  []ptrWord
+	fwrites []ptrWord
+	qreads  []queueVal
+	qwrites []queueVal
+	probes  []Probe
 	// tlbGen is the TLB generation at which probes were last known valid;
 	// replay re-validates them only when the live generation differs.
 	tlbGen uint64
@@ -438,14 +356,17 @@ type entry struct {
 	nops   int
 }
 
-// recording is one in-flight capture.
+// recording is one in-flight capture. The engine owns a single one and
+// reuses its lists across recordings; promotion copies what a super-op
+// keeps.
 type recording struct {
 	exc      [ExcWords]uint64
 	ent      *entry
-	guard    []uint64
-	gshapes  []uint64
+	gen      uint64
 	freads   []fileWord
 	fwrites  []fileWord
+	qreads   []queueVal
+	qwrites  []int32
 	probes   []Probe
 	poisoned bool
 }
@@ -454,37 +375,31 @@ type recording struct {
 // engine. It is not safe for concurrent use; the machine model steps cores
 // deterministically on one goroutine.
 type Engine struct {
-	sources []Source
 	hooks   Hooks
 	entries map[uint64]*entry
+	// rec is the active recording (&scratch while one is in flight).
 	rec     *recording
+	scratch recording
 	stats   trace.JITStats
-	// files holds the tracked register files; FileID i is files[i-1].
-	// rdSeen/wrSeen are the per-file per-recording first-access bitmaps,
-	// engine-owned scratch cleared when a recording begins.
+	// files holds the tracked register files; FileID i is files[i-1], and
+	// flags[i-1] marks a file of in-flight flags. rdSeen/wrSeen are the
+	// per-file per-recording first-access bitmaps, engine-owned scratch
+	// cleared when a recording begins.
 	files     [][]uint64
+	flags     []bool
 	fileBases map[*uint64]FileID
 	rdSeen    [][2]uint64
 	wrSeen    [][2]uint64
-	// w and marks are engine-owned scratch reused across dispatches so the
-	// replay hit path performs no allocation.
-	w     W
+	// queues holds the tracked queues; qseen is their recording state.
+	queues []*[]int
+	qseen  []uint8
+	// marks is scratch for the recording's starting clocks.
 	marks []ClockState
-	// Recording scratch, reused across recordings (one is in flight at a
-	// time): capture vectors for the pre and post walks, file read/write
-	// sets, and probes. Promotion copies what a super-op keeps, so failed
-	// and poisoned recordings allocate nothing.
-	preData, postData     []uint64
-	preShapes, postShapes []uint64
-	sfreads, sfwrites     []fileWord
-	sprobes               []Probe
 }
 
-// New returns an engine over the given walk sources. Every hook except Arm
-// and Disarm is required.
-func New(sources []Source, hooks Hooks) *Engine {
+// New returns an engine over the given hooks; every hook is required.
+func New(hooks Hooks) *Engine {
 	return &Engine{
-		sources: sources,
 		hooks:   hooks,
 		entries: make(map[uint64]*entry),
 		marks:   make([]ClockState, hooks.NumCPUs),
@@ -557,9 +472,18 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 // the tracked-file read set is where world-switch variants differ — and
 // mutates nothing, so a bailout leaves the machine untouched.
 func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
+	if e.hooks.Gen() != op.gen {
+		return 0, false
+	}
 	for i := range op.freads {
 		g := &op.freads[i]
 		if *g.p != g.val {
+			return 0, false
+		}
+	}
+	for i := range op.qreads {
+		g := &op.qreads[i]
+		if !slices.Equal(*g.q, g.vals) {
 			return 0, false
 		}
 	}
@@ -581,23 +505,14 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 			op.tlbGen = gen
 		}
 	}
-	w := &e.w
-	*w = W{mode: modeMatch, data: op.guard, shapes: op.gshapes}
-	e.walk(w)
-	if w.failed || w.pos != len(op.guard) || w.spos != len(op.gshapes) {
-		return 0, false
-	}
 	// Commit: from here on divergence is a bug, not a bailout.
-	if !op.walkClean {
-		*w = W{mode: modeRestore, data: op.post, shapes: op.gshapes}
-		e.walk(w)
-		if w.pos != len(op.post) {
-			panic("jit: restore walk did not consume the recorded state vector")
-		}
-	}
 	for i := range op.fwrites {
 		fw := &op.fwrites[i]
 		*fw.p = fw.val
+	}
+	for i := range op.qwrites {
+		qw := &op.qwrites[i]
+		*qw.q = append((*qw.q)[:0], qw.vals...)
 	}
 	for i := range op.clocks {
 		e.hooks.AdvanceClock(op.clocks[i].CPU, op.clocks[i])
@@ -611,40 +526,22 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 	return op.retVal, true
 }
 
-func (e *Engine) walk(w *W) {
-	for _, s := range e.sources {
-		s.WalkJIT(w)
-		if w.failed {
-			return
-		}
-	}
-}
-
-// beginRecord starts capturing the in-flight trap: it snapshots the guard
-// vector, clocks, and trace counters, and arms the poison taps.
+// beginRecord starts capturing the in-flight trap: it snapshots the
+// structural generation, clocks, and trace counters, and arms the poison
+// taps.
 func (e *Engine) beginRecord(exc *[ExcWords]uint64, ent *entry) {
-	rec := &recording{exc: *exc, ent: ent}
-	rec.freads = e.sfreads[:0]
-	rec.fwrites = e.sfwrites[:0]
-	rec.probes = e.sprobes[:0]
-	for i := range e.rdSeen {
-		e.rdSeen[i] = [2]uint64{}
-		e.wrSeen[i] = [2]uint64{}
-	}
-	w := &e.w
-	*w = W{mode: modeCapture, data: e.preData[:0], shapes: e.preShapes[:0]}
-	e.walk(w)
-	e.preData, e.preShapes = w.data, w.shapes
-	rec.guard, rec.gshapes = w.data, w.shapes
-	rec.poisoned = w.failed
+	rec := &e.scratch
+	*rec = recording{exc: *exc, ent: ent, gen: e.hooks.Gen(), freads: rec.freads[:0],
+		fwrites: rec.fwrites[:0], qreads: rec.qreads[:0], qwrites: rec.qwrites[:0], probes: rec.probes[:0]}
+	clear(e.rdSeen)
+	clear(e.wrSeen)
+	clear(e.qseen)
 	for i := 0; i < e.hooks.NumCPUs; i++ {
 		e.marks[i] = e.hooks.ClockState(i)
 	}
 	e.hooks.Trace.BeginCounterLog()
 	e.rec = rec
-	if e.hooks.Arm != nil {
-		e.hooks.Arm()
-	}
+	e.hooks.Arm()
 }
 
 // EndRecord finishes the active recording after the interpreted handler
@@ -656,33 +553,14 @@ func (e *Engine) EndRecord(retVal uint64) {
 		return
 	}
 	e.rec = nil
-	if e.hooks.Disarm != nil {
-		e.hooks.Disarm()
-	}
+	e.hooks.Disarm()
 	// The counter log must be disarmed on every path out of this function;
 	// EndCounterLog below reads it before this runs.
 	defer e.hooks.Trace.AbortCounterLog()
-	// Reclaim the recording's scratch (the appends may have regrown it).
-	e.reclaimScratch(rec)
-	if rec.poisoned {
+	if rec.poisoned || e.hooks.Gen() != rec.gen || !e.flagsClear(rec) {
 		rec.ent.poison++
 		return
 	}
-	w := &e.w
-	*w = W{mode: modeCapture, data: e.postData[:0], shapes: e.postShapes[:0]}
-	e.walk(w)
-	e.postData, e.postShapes = w.data, w.shapes
-	if w.failed || len(w.shapes) != len(rec.gshapes) {
-		rec.ent.poison++
-		return
-	}
-	for i := range w.shapes {
-		if w.shapes[i] != rec.gshapes[i] {
-			rec.ent.poison++
-			return
-		}
-	}
-	post := w.data
 	var clocks []ClockDelta
 	for i := 0; i < e.hooks.NumCPUs; i++ {
 		now := e.hooks.ClockState(i)
@@ -723,27 +601,24 @@ func (e *Engine) EndRecord(retVal uint64) {
 		p := &e.files[fw.f-1][fw.idx]
 		fwrites[i] = ptrWord{p: p, val: *p}
 	}
+	qwrites := make([]queueVal, len(rec.qwrites))
+	for i, id := range rec.qwrites {
+		qwrites[i] = queueVal{q: e.queues[id], vals: slices.Clone(*e.queues[id])}
+	}
 	op := &superOp{
 		exc:     rec.exc,
-		guard:   append([]uint64(nil), rec.guard...),
-		gshapes: append([]uint64(nil), rec.gshapes...),
-		post:    append([]uint64(nil), post...),
+		gen:     rec.gen,
 		freads:  freads,
 		fwrites: fwrites,
-		probes:  append([]Probe(nil), rec.probes...),
+		qreads:  slices.Clone(rec.qreads),
+		qwrites: qwrites,
+		probes:  slices.Clone(rec.probes),
 		clocks:  clocks,
 		retVal:  retVal,
 		next:    rec.ent.ops,
 		// A promoted recording saw no TLB mutation (mutation poisons), so
 		// the generation now is the one its probes were valid under.
 		tlbGen: e.hooks.TLBGen(),
-	}
-	op.walkClean = len(post) == len(rec.guard)
-	for i := range post {
-		if post[i] != rec.guard[i] {
-			op.walkClean = false
-			break
-		}
 	}
 	if !td.Empty() {
 		op.tdelta = td
@@ -753,10 +628,20 @@ func (e *Engine) EndRecord(retVal uint64) {
 	rec.ent.count = 0
 }
 
-// reclaimScratch hands a finished recording's list storage back to the
-// engine for the next recording.
-func (e *Engine) reclaimScratch(rec *recording) {
-	e.sfreads, e.sfwrites, e.sprobes = rec.freads[:0], rec.fwrites[:0], rec.probes[:0]
+// flagsClear reports whether the recording observed every in-flight flag
+// (RegisterFlags) it read as zero and left every flag it wrote zero.
+func (e *Engine) flagsClear(rec *recording) bool {
+	for _, g := range rec.freads {
+		if e.flags[g.f-1] && g.val != 0 {
+			return false
+		}
+	}
+	for _, w := range rec.fwrites {
+		if e.flags[w.f-1] && e.files[w.f-1][w.idx] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // AbortRecord discards the active recording (handler panicked).
@@ -765,17 +650,12 @@ func (e *Engine) AbortRecord() {
 	if rec == nil {
 		return
 	}
-	e.rec = nil
-	if e.hooks.Disarm != nil {
-		e.hooks.Disarm()
-	}
-	e.hooks.Trace.AbortCounterLog()
-	e.reclaimScratch(rec)
+	e.Quiesce()
 	rec.ent.poison++
 }
 
 // Poison marks the active recording non-promotable; the poison taps and
-// subsystems call it when state outside the walk is touched.
+// subsystems call it when state outside the tracked set is touched.
 func (e *Engine) Poison() {
 	if e.rec != nil {
 		e.rec.poisoned = true
@@ -809,16 +689,12 @@ func (e *Engine) LogProbe(vmid uint16, ia, pa, perm uint64, hit bool) {
 // one whose preconditions recur after the restore — the entire point of
 // a warm-boot sweep re-entering the same states — replays soundly.
 func (e *Engine) Quiesce() {
-	rec := e.rec
-	if rec == nil {
+	if e.rec == nil {
 		return
 	}
 	e.rec = nil
-	if e.hooks.Disarm != nil {
-		e.hooks.Disarm()
-	}
+	e.hooks.Disarm()
 	e.hooks.Trace.AbortCounterLog()
-	e.reclaimScratch(rec)
 }
 
 // Reset drops the super-op cache and statistics, aborting any in-flight

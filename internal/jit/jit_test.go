@@ -6,14 +6,15 @@ import (
 	"github.com/nevesim/neve/internal/trace"
 )
 
-// fakeMachine is the smallest machine the engine can accelerate: a few
-// walked words, one shape word, a register file under read/write-set
-// tracking, a one-core clock, and a TLB of canned translations.
+// fakeMachine is the smallest machine the engine can accelerate: two
+// register files and a queue under read/write-set tracking, a structural
+// generation, a one-core clock, and a TLB of canned translations.
 type fakeMachine struct {
 	words [3]uint64
-	shape uint64
+	gen   uint64
 
 	file    [16]uint64
+	queue   []int
 	clock   ClockState
 	tlb     map[uint64]Probe // keyed by IA
 	tlbGen  uint64
@@ -21,14 +22,23 @@ type fakeMachine struct {
 
 	probeCalls int
 
-	col *trace.Collector
-	eng *Engine
-	tap *FileTap
+	col  *trace.Collector
+	eng  *Engine
+	tap  *FileTap
+	wtap *FileTap
+	qtap *QueueTap
 }
 
-func (m *fakeMachine) WalkJIT(w *W) {
-	w.Shape(m.shape)
-	w.Words(m.words[:])
+// read and write access the words file through its tap, the way a model
+// file's accessors do.
+func (m *fakeMachine) read(i int) uint64 {
+	m.wtap.Read(i)
+	return m.words[i]
+}
+
+func (m *fakeMachine) write(i int, v uint64) {
+	m.wtap.Write(i)
+	m.words[i] = v
 }
 
 func newFake() *fakeMachine {
@@ -56,10 +66,15 @@ func newFake() *fakeMachine {
 		TLBAddHits: func(n uint64) { m.tlbHits += n },
 		TLBGen:     func() uint64 { return m.tlbGen },
 		ClockGap:   func(int) uint64 { return m.clock.Cycles - m.clock.LastAttributed },
+		Gen:        func() uint64 { return m.gen },
 		Trace:      m.col,
+		Arm:        func() {},
+		Disarm:     func() {},
 	}
-	m.eng = New([]Source{m}, hooks)
+	m.eng = New(hooks)
 	m.tap = m.eng.Tap(m.eng.RegisterFile(m.file[:]))
+	m.wtap = m.eng.Tap(m.eng.RegisterFile(m.words[:]))
+	m.qtap = m.eng.RegisterQueue(&m.queue)
 	return m
 }
 
@@ -105,7 +120,7 @@ func wantStats(t *testing.T, e *Engine, hits, misses, bails uint64) {
 func TestPromotionThreshold(t *testing.T) {
 	m := newFake()
 	handler := func() uint64 {
-		m.words[1] = 42
+		m.write(1, 42)
 		m.clock.Cycles += 100
 		return 7
 	}
@@ -131,17 +146,20 @@ func TestPromotionThreshold(t *testing.T) {
 	wantStats(t, m.eng, 1, defaultThreshold, 0)
 }
 
-// TestGuardMismatchBails pins bailout semantics: walked state that differs
-// from the recording's precondition runs the trap interpreted, and the
-// divergent state is promoted as a second chain variant that then hits.
+// TestGuardMismatchBails pins bailout semantics: a read-set word that
+// differs from the recording's precondition runs the trap interpreted, and
+// the divergent state is promoted as a second chain variant that then hits.
 func TestGuardMismatchBails(t *testing.T) {
 	m := newFake()
-	handler := func() uint64 { return 1 }
+	handler := func() uint64 {
+		m.read(2)
+		return 1
+	}
 	m.promote(t, 2, handler)
 	if _, st := m.trap(2, handler); st != Hit {
 		t.Fatalf("baseline replay did not hit")
 	}
-	m.words[2] = 0xbeef // outside anything the handler touches
+	m.words[2] = 0xbeef
 	m.promote(t, 2, handler)
 	wantStats(t, m.eng, 1, defaultThreshold, defaultThreshold)
 	if _, st := m.trap(2, handler); st != Hit {
@@ -156,12 +174,12 @@ func TestGuardMismatchBails(t *testing.T) {
 	}
 }
 
-// TestRestoreDelta pins the restore walk: a super-op whose sequence
-// changed walked state writes the recorded post-state back on replay.
+// TestRestoreDelta pins the write set: a super-op whose sequence changed
+// tracked state writes the recorded post-state back on replay.
 func TestRestoreDelta(t *testing.T) {
 	m := newFake()
 	handler := func() uint64 {
-		m.words[0] = 77
+		m.write(0, 77)
 		return 0
 	}
 	for i := 0; i < defaultThreshold; i++ {
@@ -427,7 +445,7 @@ func TestStatsExclusive(t *testing.T) {
 		m.trap(15, handler)
 		dispatches++
 	}
-	m.words[2] = 1
+	m.gen++
 	m.trap(15, handler) // bailout
 	dispatches++
 	s := m.eng.Stats()
@@ -437,9 +455,9 @@ func TestStatsExclusive(t *testing.T) {
 }
 
 // TestReplayHitNoAlloc is the 0-alloc gate on the replay hit path: a
-// dispatch that replays a super-op — including a restore walk, tracked
-// file writes, TLB hit back-fill, clock advance, and a counter delta —
-// performs no heap allocation.
+// dispatch that replays a super-op — including tracked file writes, a
+// queue guard and refill, TLB hit back-fill, clock advance, and a counter
+// delta — performs no heap allocation.
 func TestReplayHitNoAlloc(t *testing.T) {
 	m := newFake()
 	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
@@ -451,15 +469,19 @@ func TestReplayHitNoAlloc(t *testing.T) {
 		p := m.tlb[0x1000]
 		m.eng.LogProbe(1, 0x1000, p.PA, p.Perm, true)
 		m.col.Trap(trace.Event{Reason: trace.ReasonHVC, Aux: 3})
-		m.words[0] = 77
+		m.write(0, 77)
+		m.qtap.Write()
+		m.queue = append(m.queue[:0], 4, 5)
 		m.clock.Cycles += 50
 		return 5
 	}
 	for i := 0; i < defaultThreshold; i++ {
 		m.words[0] = 3
+		m.queue = append(m.queue[:0], 1)
 		m.trap(16, handler) // the last sighting records
 	}
 	m.words[0] = 3
+	m.queue = append(m.queue[:0], 1)
 	if _, st := m.trap(16, handler); st != Hit {
 		t.Fatalf("replay did not hit")
 	}
@@ -468,6 +490,7 @@ func TestReplayHitNoAlloc(t *testing.T) {
 	failed := false
 	avg := testing.AllocsPerRun(200, func() {
 		m.words[0] = 3
+		m.queue = append(m.queue[:0], 1)
 		if _, st := m.eng.Dispatch(0, &ew); st != Hit {
 			failed = true
 		}
@@ -487,7 +510,8 @@ func TestReplayHitNoAlloc(t *testing.T) {
 // checked before a hit.
 func TestMoveToFront(t *testing.T) {
 	m := newFake()
-	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
+	stateA := Probe{PA: 0x2000, Perm: 3}
+	stateB := Probe{PA: 0x3000, Perm: 3}
 	handler := func() uint64 {
 		p := m.tlb[0x1000]
 		m.eng.LogProbe(1, 0x1000, p.PA, p.Perm, true)
@@ -498,29 +522,108 @@ func TestMoveToFront(t *testing.T) {
 		_, st := m.trap(17, handler)
 		return st
 	}
-	m.words[0] = 1
+	m.tlb[0x1000] = stateA
 	for i := 0; i < defaultThreshold; i++ {
 		trap() // variant A
 	}
-	m.words[0] = 2
+	m.tlb[0x1000] = stateB
 	for i := 0; i < defaultThreshold; i++ {
 		trap() // variant B (chain front after promotion)
 	}
 	if st := trap(); st != Hit {
 		t.Fatalf("variant B did not hit")
 	}
-	m.words[0] = 1
+	m.tlb[0x1000] = stateA
 	if st := trap(); st != Hit {
 		t.Fatalf("variant A did not hit")
 	}
 	// A hit and moved to the front: a dispatch in state A now probes once
-	// (A's probes), not twice (B's then A's). The file-read and clock
-	// guards are empty here, so probe order is the discriminator.
+	// (A's probes), not twice (B's then A's). The variants differ only in
+	// their probes, so probe order is the discriminator.
 	calls := m.probeCalls
 	if st := trap(); st != Hit {
 		t.Fatalf("variant A did not stay hot")
 	}
 	if m.probeCalls-calls != 1 {
 		t.Fatalf("front variant dispatch probed %d times, want 1", m.probeCalls-calls)
+	}
+}
+
+// TestGenerationGuard pins the structural generation: a super-op replays
+// only under the generation it was recorded under, and a recording during
+// which the generation moves is not promoted.
+func TestGenerationGuard(t *testing.T) {
+	m := newFake()
+	handler := func() uint64 { return 0 }
+	m.promote(t, 18, handler)
+	if _, st := m.trap(18, handler); st != Hit {
+		t.Fatalf("replay did not hit")
+	}
+	m.gen++
+	if _, st := m.trap(18, handler); st == Hit {
+		t.Fatalf("replay hit across a generation change")
+	}
+	m.promote(t, 19, func() uint64 {
+		m.gen++ // builds a lazily created object
+		return 0
+	})
+	if _, ops := m.eng.Entries(); ops != 1 {
+		t.Fatalf("a recording that moved the generation was promoted")
+	}
+}
+
+// TestQueueTracking pins queue guards: the first access guards the whole
+// contents, a mutation commits the final contents, and a queue observed
+// with different contents bails.
+func TestQueueTracking(t *testing.T) {
+	m := newFake()
+	handler := func() uint64 {
+		m.qtap.Read()
+		if len(m.queue) == 0 {
+			return 0
+		}
+		m.qtap.Write()
+		m.queue = m.queue[1:]
+		return 1
+	}
+	for i := 0; i < defaultThreshold; i++ {
+		m.queue = append(m.queue[:0], 7, 8)
+		m.trap(20, handler)
+	}
+	m.queue = append(m.queue[:0], 7, 8)
+	if v, st := m.trap(20, handler); st != Hit || v != 1 {
+		t.Fatalf("replay: status %v val %d, want Hit 1", st, v)
+	}
+	if len(m.queue) != 1 || m.queue[0] != 8 {
+		t.Fatalf("replay left queue %v, want [8]", m.queue)
+	}
+	m.queue = append(m.queue[:0], 7, 9)
+	if _, st := m.trap(20, handler); st == Hit {
+		t.Fatalf("replay hit over different queue contents")
+	}
+}
+
+// TestFlagsFile pins in-flight flags: a recording that consumes a record
+// it did not create, or leaves one in flight, is not promoted; one that
+// creates and consumes a record is.
+func TestFlagsFile(t *testing.T) {
+	m := newFake()
+	var flag [1]uint64
+	tap := m.eng.Tap(m.eng.RegisterFlags(flag[:]))
+	set := func(v uint64) { tap.Write(0); flag[0] = v }
+	consume := func() {
+		tap.Read(0)
+		if flag[0] != 0 {
+			set(0)
+		}
+	}
+	m.promote(t, 21, func() uint64 { set(1); consume(); return 0 })
+	if _, ops := m.eng.Entries(); ops != 1 {
+		t.Fatalf("create-and-consume recording was not promoted")
+	}
+	m.promote(t, 22, func() uint64 { set(1); return 0 })
+	m.promote(t, 23, func() uint64 { flag[0] = 1; consume(); return 0 })
+	if _, ops := m.eng.Entries(); ops != 1 {
+		t.Fatalf("a recording that left or consumed a foreign record was promoted")
 	}
 }

@@ -29,12 +29,18 @@ type StackCheckpoint struct {
 
 type hypCheckpoint struct {
 	hostCtxs   []Context
-	loaded     []loadedCtx
+	loaded     []loadedRef
 	pendingFwd []*fwd
 	hasGuest   bool // guestMem allocator existed
 	guestNext  mem.Addr
 	nextVMID   uint16
 	vms        []vmCheckpoint
+}
+
+// loadedRef is a core's loaded-context record as a checkpoint carries it.
+type loadedRef struct {
+	vcpu *VCPU
+	mode runMode
 }
 
 type vmCheckpoint struct {
@@ -107,19 +113,20 @@ func (s *Stack) Checkpoint() *StackCheckpoint {
 func checkpointHyp(h *Hypervisor) hypCheckpoint {
 	cp := hypCheckpoint{
 		hostCtxs:   append([]Context(nil), h.hostCtxs...),
-		loaded:     append([]loadedCtx(nil), h.loaded...),
+		loaded:     make([]loadedRef, len(h.pendingFwd)),
 		pendingFwd: make([]*fwd, len(h.pendingFwd)),
-		nextVMID:   h.nextVMID,
+		nextVMID:   uint16(h.alloc.w[hNextVMID]),
 	}
-	for i, f := range h.pendingFwd {
-		if f != nil {
-			c := *f
-			cp.pendingFwd[i] = &c
-		}
+	for cpu := range cp.loaded {
+		lc := loadedCtx{h, cpu}
+		cp.loaded[cpu] = loadedRef{lc.vcpu(), lc.mode()}
+	}
+	for i := range h.pendingFwd {
+		cp.pendingFwd[i] = h.pendingFwd[i].copyRec()
 	}
 	if h.guestMem != nil {
 		cp.hasGuest = true
-		cp.guestNext = h.guestMem.next
+		cp.guestNext = mem.Addr(h.alloc.w[hGuestNext])
 	}
 	for _, vm := range h.VMs {
 		cp.vms = append(cp.vms, checkpointVM(vm))
@@ -137,15 +144,15 @@ func checkpointVM(vm *VM) vmCheckpoint {
 		t := vm.s2.Checkpoint()
 		cp.s2 = &t
 	}
-	if vm.virtio != nil {
+	if vm.virtioOn {
 		vcp := &virtioCheckpoint{
-			queuePFN:  vm.virtio.queuePFN,
-			queueNum:  vm.virtio.queueNum,
-			status:    vm.virtio.status,
-			intStatus: vm.virtio.intStatus,
+			queuePFN:  vm.vio.w[vioQueuePFN],
+			queueNum:  vm.vio.w[vioQueueNum],
+			status:    vm.vio.w[vioStatus],
+			intStatus: uint32(vm.vio.w[vioIntStatus]),
 		}
-		if vm.virtio.echo != nil {
-			e := vm.virtio.echo.Checkpoint()
+		if vm.echo != nil {
+			e := vm.echo.Checkpoint()
 			vcp.echo = &e
 		}
 		cp.virtio = vcp
@@ -162,18 +169,15 @@ func checkpointVCPU(v *VCPU) vcpuCheckpoint {
 		vel2:     v.VEL2,
 		virtEL1:  v.VirtEL1,
 		pageCtx:  v.PageCtx,
-		inVEL2:   v.InVEL2,
-		dirtyLRs: v.dirtyLRs,
-		x0:       v.x0,
-		online:   v.Online,
+		inVEL2:   v.st.w[vcInVEL2] != 0,
+		dirtyLRs: int(v.st.w[vcDirtyLRs]),
+		x0:       v.st.w[vcX0],
+		online:   v.st.w[vcOnline] != 0,
 	}
 	if len(v.pendingVIRQ) > 0 {
 		cp.pendingVIRQ = append([]int(nil), v.pendingVIRQ...)
 	}
-	if v.pendingEntry != nil {
-		e := *v.pendingEntry
-		cp.pendingEntry = &e
-	}
+	cp.pendingEntry = v.pendingEntry.copyRec()
 	if v.shadowS2 != nil {
 		t := v.shadowS2.Checkpoint()
 		cp.shadowS2 = &t
@@ -236,24 +240,24 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 
 func restoreHyp(h *Hypervisor, cp *hypCheckpoint) {
 	copy(h.hostCtxs, cp.hostCtxs)
-	copy(h.loaded, cp.loaded)
+	for cpu, l := range cp.loaded[:min(len(cp.loaded), len(h.pendingFwd))] {
+		loadedCtx{h, cpu}.load(l.vcpu, l.mode)
+	}
 	for i := range h.pendingFwd {
-		if i >= len(cp.pendingFwd) || cp.pendingFwd[i] == nil {
-			h.pendingFwd[i] = nil
-			continue
+		var f *fwd
+		if i < len(cp.pendingFwd) {
+			f = cp.pendingFwd[i]
 		}
-		f := *cp.pendingFwd[i]
-		h.pendingFwd[i] = &f
+		h.pendingFwd[i].reset(f)
 	}
 	switch {
 	case !cp.hasGuest:
 		h.guestMem = nil
 	case h.guestMem == nil:
-		h.guestMem = &guestBacking{h: h, next: cp.guestNext}
-	default:
-		h.guestMem.next = cp.guestNext
+		h.guestMem = &guestBacking{h: h}
 	}
-	h.nextVMID = cp.nextVMID
+	h.alloc.w[hGuestNext] = uint64(cp.guestNext)
+	h.alloc.w[hNextVMID] = uint64(cp.nextVMID)
 	if len(h.VMs) != len(cp.vms) {
 		panic(fmt.Sprintf("kvm[%s]: restore across VM topologies (%d VMs vs %d)", h.Cfg.Name, len(h.VMs), len(cp.vms)))
 	}
@@ -275,28 +279,26 @@ func restoreVM(vm *VM, cp *vmCheckpoint) {
 	default:
 		vm.s2.Restore(*cp.s2)
 	}
+	vm.virtioOn = cp.virtio != nil
+	clear(vm.vio.w)
 	if cp.virtio == nil {
-		vm.virtio = nil
+		vm.echo = nil
 	} else {
-		if vm.virtio == nil {
-			vm.virtio = &vmVirtio{}
-		}
-		dev := vm.virtio
-		dev.queuePFN = cp.virtio.queuePFN
-		dev.queueNum = cp.virtio.queueNum
-		dev.status = cp.virtio.status
-		dev.intStatus = cp.virtio.intStatus
+		vm.vio.w[vioQueuePFN] = cp.virtio.queuePFN
+		vm.vio.w[vioQueueNum] = cp.virtio.queueNum
+		vm.vio.w[vioStatus] = cp.virtio.status
+		vm.vio.w[vioIntStatus] = uint64(cp.virtio.intStatus)
 		if cp.virtio.echo == nil {
-			dev.echo = nil
+			vm.echo = nil
 		} else {
-			if dev.echo == nil {
+			if vm.echo == nil {
 				// The ring Memory view is per-trap wiring: the kick path
 				// installs a fresh hypRingMem before every drain.
-				dev.echo = &virtio.Echo{Ring: virtio.Ring{
+				vm.echo = &virtio.Echo{Ring: virtio.Ring{
 					Base: mem.Addr(cp.virtio.queuePFN << mem.PageShift),
 				}}
 			}
-			dev.echo.Restore(*cp.virtio.echo)
+			vm.echo.Restore(*cp.virtio.echo)
 		}
 	}
 	for i, v := range vm.VCPUs {
@@ -309,14 +311,9 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 	v.VEL2 = cp.vel2
 	v.VirtEL1 = cp.virtEL1
 	v.PageCtx = cp.pageCtx
-	v.InVEL2 = cp.inVEL2
+	v.st.w[vcInVEL2] = b2u(cp.inVEL2)
 	v.pendingVIRQ = append(v.pendingVIRQ[:0], cp.pendingVIRQ...)
-	if cp.pendingEntry == nil {
-		v.pendingEntry = nil
-	} else {
-		e := *cp.pendingEntry
-		v.pendingEntry = &e
-	}
+	v.pendingEntry.reset(cp.pendingEntry)
 	switch {
 	case cp.shadowS2 == nil:
 		v.shadowS2 = nil
@@ -326,9 +323,9 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 	default:
 		v.shadowS2.Restore(*cp.shadowS2)
 	}
-	v.dirtyLRs = cp.dirtyLRs
-	v.x0 = cp.x0
-	v.Online = cp.online
+	v.st.w[vcDirtyLRs] = uint64(cp.dirtyLRs)
+	v.st.w[vcX0] = cp.x0
+	v.st.w[vcOnline] = b2u(cp.online)
 	if cp.guest == nil {
 		v.Guest = nil
 		return

@@ -6,6 +6,7 @@ import (
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
 	"github.com/nevesim/neve/internal/gic"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/machine"
 	"github.com/nevesim/neve/internal/mem"
 )
@@ -18,6 +19,51 @@ type fwd struct {
 	level arm.VLevel
 }
 
+// inflight holds a record the model keeps outside tracked state: an exit
+// queued for forwarding or for vector entry. Its presence is a one-word
+// flag file (jit.Engine.RegisterFlags), so no super-op consumes a record
+// it did not create or leaves one in flight.
+type inflight[T any] struct {
+	rec  *T
+	flag [1]uint64
+	jt   *jit.FileTap
+}
+
+func (f *inflight[T]) put(r *T) {
+	f.jt.Write(0)
+	f.flag[0], f.rec = 1, r
+}
+
+// take dequeues the record, or returns nil.
+func (f *inflight[T]) take() *T {
+	f.jt.Read(0)
+	if f.flag[0] == 0 {
+		return nil
+	}
+	f.jt.Write(0)
+	r := f.rec
+	f.flag[0], f.rec = 0, nil
+	return r
+}
+
+// copyRec returns a copy of the record (nil for none); reset installs a
+// copy of r. Both are for checkpoints, outside recordings.
+func (f *inflight[T]) copyRec() *T {
+	if f.rec == nil {
+		return nil
+	}
+	c := *f.rec
+	return &c
+}
+
+func (f *inflight[T]) reset(r *T) {
+	f.rec, f.flag[0] = nil, 0
+	if r != nil {
+		c := *r
+		f.rec, f.flag[0] = &c, 1
+	}
+}
+
 // handleExit is the complete KVM exit path: lowvisor exit, host kernel
 // handling, re-entry. It runs identically for the host hypervisor (called
 // from the EL2 vector) and for a guest hypervisor (called from VectorEntry
@@ -25,7 +71,7 @@ type fwd struct {
 // operations trap or defer.
 func (h *Hypervisor) handleExit(c *arm.CPU, e *arm.Exception) uint64 {
 	lc := h.cur(c)
-	v := lc.vcpu
+	v := lc.vcpu()
 	if v == nil {
 		panic(fmt.Sprintf("kvm[%s]: exit %s with no vcpu loaded on cpu%d", h.Cfg.Name, e.EC, c.ID))
 	}
@@ -34,27 +80,25 @@ func (h *Hypervisor) handleExit(c *arm.CPU, e *arm.Exception) uint64 {
 	c.Work(workHostKernel)
 	ret := h.dispatch(c, lc, e)
 	h.hvcToSelfHyp(c)
-	h.guestEnterSeq(c, lc.vcpu, lc.mode)
+	h.guestEnterSeq(c, lc.vcpu(), lc.mode())
 	h.setGuestEnv(c, lc)
-	if f := h.pendingFwd[c.ID]; f != nil {
-		h.pendingFwd[c.ID] = nil
+	if f := h.pendingFwd[c.ID].take(); f != nil {
 		if !h.IsHost() {
 			// A deprivileged hypervisor cannot enter its guest itself: it
 			// records the pending virtual vector entry and erets; the host
 			// invokes the entry when it loads the context (recursive
 			// virtualization, Section 6.2). By the time the eret returns
 			// here, the child has run and produced its result.
-			v.pendingEntry = &f.exc
+			v.pendingEntry.put(&f.exc)
 			h.eretToGuest(c)
-			v.x0 = f.child.cur(c).vcpu.x0
-			return v.x0
+			return v.setX0(f.child.cur(c).vcpu().x0())
 		}
 		c.RunGuest(f.level, func() {
 			f.child.VectorEntry(c, &f.exc)
 		})
 		// The child handled the exit and entered its own guest; MMIO
 		// values it produced travel back through the virtual x0.
-		return f.child.cur(c).vcpu.x0
+		return f.child.cur(c).vcpu().x0()
 	}
 	h.eretToGuest(c)
 	return ret
@@ -80,24 +124,25 @@ func (h *Hypervisor) eretToGuest(c *arm.CPU) {
 // Only the host hypervisor owns the physical guest environment; a
 // deprivileged hypervisor's equivalent actions are the virtual state updates
 // its parent interprets at entry time.
-func (h *Hypervisor) setGuestEnv(c *arm.CPU, lc *loadedCtx) {
+func (h *Hypervisor) setGuestEnv(c *arm.CPU, lc loadedCtx) {
 	if !h.IsHost() {
 		return
 	}
-	switch lc.mode {
+	switch lc.mode() {
 	case modeGuestOS:
 		c.SetGuestLevel(h.Level + 1)
-		c.VIRQ = lc.vcpu.Guest
+		c.SetVIRQ(lc.vcpu().Guest)
 	case modeNested:
-		sink, level := h.leafGuest(lc.vcpu)
+		sink, level := h.leafGuest(lc.vcpu())
 		c.SetGuestLevel(level)
-		c.VIRQ = nil
 		if sink != nil {
-			c.VIRQ = sink
+			c.SetVIRQ(sink)
+		} else {
+			c.SetVIRQ(nil)
 		}
 	case modeVEL2, modeVEL1Host:
 		c.SetGuestLevel(h.Level + 1)
-		c.VIRQ = nil // the guest hypervisor takes interrupts via its vector
+		c.SetVIRQ(nil) // the guest hypervisor takes interrupts via its vector
 	}
 }
 
@@ -130,8 +175,8 @@ func (h *Hypervisor) leafGuest(v *VCPU) (*GuestCtx, arm.VLevel) {
 // dispatch is the host kernel part of exit handling. It may switch the
 // loaded context's mode (nested entry, vEL2 transfer) or queue a forward
 // into the guest hypervisor.
-func (h *Hypervisor) dispatch(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	switch lc.mode {
+func (h *Hypervisor) dispatch(c *arm.CPU, lc loadedCtx, e *arm.Exception) uint64 {
+	switch lc.mode() {
 	case modeGuestOS:
 		return h.dispatchGuestExit(c, lc, e)
 	case modeNested:
@@ -148,8 +193,8 @@ func (h *Hypervisor) dispatch(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint6
 // dispatchGuestExit handles exits from a plain VM guest OS — for the host
 // hypervisor a VM, for a guest hypervisor its nested VM (the code is the
 // same; only the routing of its privileged operations differs).
-func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc loadedCtx, e *arm.Exception) uint64 {
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECHVC64:
 		if val, ok := h.handlePSCI(c, lc, e.Imm); ok {
@@ -161,13 +206,11 @@ func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Excepti
 		if e.FaultIPA >= VirtioBase && uint64(e.FaultIPA-VirtioBase) < VirtioSize {
 			if uint64(e.FaultIPA-VirtioBase) >= VirtioRegOff && uint64(e.FaultIPA-VirtioBase) < VirtioRegOff+0x100 {
 				// The virtio-mmio register block of the real echo device.
-				v.x0 = h.virtioMMIO(c, v, e)
-				return v.x0
+				return v.setX0(h.virtioMMIO(c, v, e))
 			}
 			// Generic emulated device (the Device I/O microbenchmark).
 			c.Work(workDeviceEmu)
-			v.x0 = uint64(e.FaultIPA) ^ 0xd1ce
-			return v.x0
+			return v.setX0(uint64(e.FaultIPA) ^ 0xd1ce)
 		}
 		if h.isConsole(e.FaultIPA) {
 			return h.emulateConsole(c, e)
@@ -199,14 +242,13 @@ func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Excepti
 // dispatchNestedExit handles exits taken while the nested VM was running:
 // the host hypervisor serves shadow Stage-2 faults itself and forwards
 // everything the guest hypervisor must see (Section 4).
-func (h *Hypervisor) dispatchNestedExit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+func (h *Hypervisor) dispatchNestedExit(c *arm.CPU, lc loadedCtx, e *arm.Exception) uint64 {
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECDAbtLow:
 		if e.FaultIPA < VirtioBase || uint64(e.FaultIPA-VirtioBase) >= VirtioSize {
 			if h.fixShadowS2Fault(c, v, e) {
-				v.x0 = h.replay(c, v, e)
-				return v.x0
+				return v.setX0(h.replay(c, v, e))
 			}
 		}
 		// Let the guest hypervisor handle it (device emulation or its own
@@ -229,8 +271,8 @@ func (h *Hypervisor) dispatchNestedExit(c *arm.CPU, lc *loadedCtx, e *arm.Except
 
 // dispatchVEL2Exit handles traps from the deprivileged guest hypervisor:
 // the ARMv8.3 trap-and-emulate path (and the residual traps under NEVE).
-func (h *Hypervisor) dispatchVEL2Exit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+func (h *Hypervisor) dispatchVEL2Exit(c *arm.CPU, lc loadedCtx, e *arm.Exception) uint64 {
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECSysReg:
 		if e.Reg == arm.ICC_SGI1R_EL1 && e.Write {
@@ -271,7 +313,7 @@ func (h *Hypervisor) dispatchVEL2Exit(c *arm.CPU, lc *loadedCtx, e *arm.Exceptio
 
 // dispatchVEL1HostExit handles traps from the guest hypervisor's own host
 // kernel running at virtual EL1 (the non-VHE hosted design, Figure 1(a)).
-func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
+func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc loadedCtx, e *arm.Exception) uint64 {
 	switch e.EC {
 	case arm.ECHVC64:
 		// The guest hypervisor's host kernel calls into its lowvisor:
@@ -283,7 +325,7 @@ func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc *loadedCtx, e *arm.Exce
 		if e.Reg == arm.ICC_SGI1R_EL1 && e.Write {
 			// The guest hypervisor's host kernel kicks another CPU
 			// (smp_send_reschedule): an SGI within its VM.
-			h.vgicSendSGI(c, lc.vcpu.VM, int(e.Val>>16&0xff), int(e.Val&0xf))
+			h.vgicSendSGI(c, lc.vcpu().VM, int(e.Val>>16&0xff), int(e.Val&0xf))
 			return 0
 		}
 		panic(fmt.Sprintf("kvm[%s]: unhandled vEL1-host sysreg %s", h.Cfg.Name, e.Reg))
@@ -294,8 +336,8 @@ func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc *loadedCtx, e *arm.Exce
 		if h.isConsole(e.FaultIPA) {
 			return h.emulateConsole(c, e)
 		}
-		if h.fixVMS2Fault(c, lc.vcpu, e) {
-			return h.replay(c, lc.vcpu, e)
+		if v := lc.vcpu(); h.fixVMS2Fault(c, v, e) {
+			return h.replay(c, v, e)
 		}
 		panic(fmt.Sprintf("kvm[%s]: unhandled vEL1-host stage-2 fault at %#x", h.Cfg.Name, uint64(e.FaultIPA)))
 	case arm.ECVirtIRQ:
@@ -366,27 +408,27 @@ func sysRegEmuExtra(r arm.SysReg, write bool) uint64 {
 
 // transferToVEL2 switches the loaded context from the guest hypervisor's
 // host kernel (virtual EL1) to its lowvisor (virtual EL2).
-func (h *Hypervisor) transferToVEL2(c *arm.CPU, lc *loadedCtx) {
-	v := lc.vcpu
+func (h *Hypervisor) transferToVEL2(c *arm.CPU, lc loadedCtx) {
+	v := lc.vcpu()
 	c.Work(workForwardEmu)
 	h.storeVirtEL1(c, v) // park the vEL1 host context
 	h.projectVEL2Env(c, v)
 	h.flushPendingVIRQ(v)
-	lc.mode = modeVEL2
+	lc.setMode(modeVEL2)
 }
 
 // prepareForward queues delivery of an exit into the guest hypervisor's
 // virtual EL2 vector: park the interrupted virtual EL1 context, expose the
 // syndrome through the virtual EL2 registers, and load the guest
 // hypervisor's execution environment (Section 4).
-func (h *Hypervisor) prepareForward(c *arm.CPU, lc *loadedCtx, e *arm.Exception) {
-	v := lc.vcpu
+func (h *Hypervisor) prepareForward(c *arm.CPU, lc loadedCtx, e *arm.Exception) {
+	v := lc.vcpu()
 	gh := v.VM.GuestHyp
 	if gh == nil {
 		panic("kvm: forward with no guest hypervisor")
 	}
 	c.Work(workForwardEmu)
-	if lc.mode == modeNested {
+	if lc.mode() == modeNested {
 		// Sync the hardware list registers back into the virtual
 		// interface state, so the guest hypervisor observes the nested
 		// VM's acknowledgements and completions (Section 4, interrupt
@@ -412,16 +454,16 @@ func (h *Hypervisor) prepareForward(c *arm.CPU, lc *loadedCtx, e *arm.Exception)
 	}
 	h.projectVEL2Env(c, v)
 	h.flushPendingVIRQ(v)
-	lc.mode = modeVEL2
-	h.pendingFwd[c.ID] = &fwd{child: gh, exc: *e, level: h.Level + 1}
+	lc.setMode(modeVEL2)
+	h.pendingFwd[c.ID].put(&fwd{child: gh, exc: *e, level: h.Level + 1})
 }
 
 // handleVEL2ERet handles the trapped eret of a guest hypervisor: enter its
 // nested VM if its virtual Stage-2 is active, or return to its own host
 // kernel at virtual EL1 (KVM deactivates the VM around host handling, so
 // the virtual HCR_EL2.VM bit distinguishes the two).
-func (h *Hypervisor) handleVEL2ERet(c *arm.CPU, lc *loadedCtx) {
-	v := lc.vcpu
+func (h *Hypervisor) handleVEL2ERet(c *arm.CPU, lc loadedCtx) {
+	v := lc.vcpu()
 	c.Work(workERetEmu)
 	if h.neveActive(v.VM) {
 		h.syncVEL2FromPage(c, v)
@@ -430,20 +472,21 @@ func (h *Hypervisor) handleVEL2ERet(c *arm.CPU, lc *loadedCtx) {
 	vhcr := v.VEL2.Get(arm.HCR_EL2)
 	if vhcr&arm.HCRVM != 0 && v.VEL2.Get(arm.VTTBR_EL2) != 0 {
 		h.loadNestedState(c, v)
-		lc.mode = modeNested
+		lc.setMode(modeNested)
 		// Recursive virtualization: if the guest hypervisor queued a
 		// vector entry into ITS guest hypervisor, run it once the nested
 		// context is loaded (Section 6.2).
 		if gh := v.VM.GuestHyp; gh != nil && len(gh.VMs) > 0 {
 			nv := gh.VMs[0].VCPUs[v.ID]
-			if nv.pendingEntry != nil && nv.VM.GuestHyp != nil {
-				h.pendingFwd[c.ID] = &fwd{child: nv.VM.GuestHyp, exc: *nv.pendingEntry, level: h.Level + 2}
-				nv.pendingEntry = nil
+			if ngh := nv.VM.GuestHyp; ngh != nil {
+				if e := nv.pendingEntry.take(); e != nil {
+					h.pendingFwd[c.ID].put(&fwd{child: ngh, exc: *e, level: h.Level + 2})
+				}
 			}
 		}
 	} else {
 		h.loadVirtEL1(c, v)
-		lc.mode = modeVEL1Host
+		lc.setMode(modeVEL1Host)
 	}
 }
 
@@ -464,7 +507,7 @@ func (h *Hypervisor) loadNestedState(c *arm.CPU, v *VCPU) {
 			n = i + 1
 		}
 	}
-	v.dirtyLRs = n
+	v.st.set(vcDirtyLRs, uint64(n))
 }
 
 // isConsole reports whether a faulting address is in the console window.

@@ -2,6 +2,8 @@ package kvm
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
@@ -66,12 +68,40 @@ func (m runMode) String() string {
 	}
 }
 
-// loadedCtx is the per-physical-CPU record of what context the hypervisor
-// has loaded onto the hardware.
+// loadedCtx is a handle on the per-physical-CPU record of what context the
+// hypervisor has loaded onto the hardware: two of the hypervisor's tracked
+// words, the loaded vCPU (1 + its index in vcpus, 0 for none) and its run
+// mode.
 type loadedCtx struct {
-	vcpu *VCPU
-	mode runMode
+	h   *Hypervisor
+	cpu int
 }
+
+func (lc loadedCtx) vcpu() *VCPU {
+	if i := lc.h.loaded.get(2 * lc.cpu); i != 0 {
+		return lc.h.vcpus[i-1]
+	}
+	return nil
+}
+
+func (lc loadedCtx) mode() runMode { return runMode(lc.h.loaded.get(2*lc.cpu + 1)) }
+
+func (lc loadedCtx) setMode(m runMode) { lc.h.loaded.set(2*lc.cpu+1, uint64(m)) }
+
+// load records v (nil for none) running in mode m.
+func (lc loadedCtx) load(v *VCPU, m runMode) {
+	lc.h.loaded.set(2*lc.cpu, uint64(slices.Index(lc.h.vcpus, v)+1))
+	lc.setMode(m)
+}
+
+// Allocation cursor indices into Hypervisor.alloc.
+const (
+	// hGuestNext is a deprivileged hypervisor's table-page bump cursor
+	// (guestBacking).
+	hGuestNext = iota
+	hNextVMID
+	numAllocWords
+)
 
 // Hypervisor is the KVM/ARM model. The same type serves as the L0 host
 // hypervisor (installed as the EL2 exception vector) and as a deprivileged
@@ -97,12 +127,21 @@ type Hypervisor struct {
 	// home is the VM this hypervisor runs inside (nil for the host).
 	home *VM
 
-	loaded []loadedCtx
+	// loaded holds every core's loaded context (see loadedCtx); alloc
+	// holds the allocation cursors (the h* indices).
+	loaded words
+	alloc  words
+	// vcpus lists the vCPUs of this hypervisor's VMs in creation order,
+	// the table loaded-context words index.
+	vcpus []*VCPU
 	// pendingFwd is the per-physical-core exit queued for forwarding to a
-	// guest hypervisor (indexed by arm.CPU.ID, like loaded).
-	pendingFwd []*fwd
+	// guest hypervisor (indexed by arm.CPU.ID).
+	pendingFwd []inflight[fwd]
 	guestMem   *guestBacking
-	nextVMID   uint16
+
+	// gen is the structural generation of the whole stack, kept by the
+	// host (see bumpGen).
+	gen atomic.Uint64
 }
 
 // New creates a hypervisor. parent is nil for the host (L0).
@@ -116,8 +155,9 @@ func New(cfg Config, m *machine.Machine, parent *Hypervisor) *Hypervisor {
 		M:          m,
 		Parent:     parent,
 		Level:      level,
-		loaded:     make([]loadedCtx, len(m.CPUs)),
-		pendingFwd: make([]*fwd, len(m.CPUs)),
+		loaded:     newWords(2 * len(m.CPUs)),
+		alloc:      newWords(numAllocWords),
+		pendingFwd: make([]inflight[fwd], len(m.CPUs)),
 		hostCtxs:   make([]Context, len(m.CPUs)),
 	}
 	// Plausible host kernel EL1 context contents (values are opaque, and
@@ -138,17 +178,20 @@ func (h *Hypervisor) IsHost() bool { return h.Parent == nil }
 // cores starting at core firstCPU, with ramSize bytes of RAM placed at
 // ramBase in this hypervisor's own address space.
 func (h *Hypervisor) CreateVM(name string, vcpus, firstCPU int, ramBase mem.Addr, ramSize uint64) *VM {
-	vm := &VM{Hyp: h, Name: name, RAMBase: ramBase, RAMSize: ramSize}
+	vm := &VM{Hyp: h, Name: name, RAMBase: ramBase, RAMSize: ramSize, vio: newWords(numVioWords)}
 	for i := 0; i < vcpus; i++ {
 		pcpu := h.M.CPUs[firstCPU+i]
-		v := &VCPU{VM: vm, ID: i, PCPU: pcpu}
+		v := &VCPU{VM: vm, ID: i, PCPU: pcpu, st: newWords(numVCPUWords)}
+		h.vcpus = append(h.vcpus, v)
 		v.Guest = &GuestCtx{CPU: pcpu, VCPU: v}
 		// Plausible initial guest EL1 context.
 		for j, r := range el1CtxRegs {
 			v.EL1.Set(r, 0x9e570000+uint64(i)<<8+uint64(j))
 		}
 		v.VEL2.Set(arm.VMPIDR_EL2, 0x8000_0000|uint64(i))
-		v.Online = i == 0 // the boot vCPU; others come up via PSCI CPU_ON
+		if i == 0 { // the boot vCPU; others come up via PSCI CPU_ON
+			v.st.set(vcOnline, 1)
+		}
 		vm.VCPUs = append(vm.VCPUs, v)
 	}
 	h.VMs = append(h.VMs, vm)
@@ -165,7 +208,7 @@ func (h *Hypervisor) HandleTrap(c *arm.CPU, e *arm.Exception) uint64 {
 }
 
 // cur returns the loaded context for a core.
-func (h *Hypervisor) cur(c *arm.CPU) *loadedCtx { return &h.loaded[c.ID] }
+func (h *Hypervisor) cur(c *arm.CPU) loadedCtx { return loadedCtx{h, c.ID} }
 
 // RunGuestOS runs fn as the guest OS of vcpu v (a plain VM): the host's
 // top-level vcpu run loop. All hypervisor activity during fn happens via
@@ -185,7 +228,7 @@ func (h *Hypervisor) RunNestedGuestOS(lv *VCPU, fn func(g *GuestCtx)) {
 	c := lv.PCPU
 	nv := lv.nestedVCPU()
 	gh := lv.VM.GuestHyp
-	gh.loaded[c.ID] = loadedCtx{vcpu: nv, mode: modeGuestOS}
+	gh.cur(c).load(nv, modeGuestOS)
 	h.loadNestedState(c, lv)
 	h.enterSwitch(c, lv, modeNested)
 	c.RunGuest(h.Level+2, func() { fn(nv.Guest) })
@@ -204,8 +247,8 @@ func (h *Hypervisor) RunL3GuestOS(lv *VCPU, fn func(g *GuestCtx)) {
 	if gh2 == nil {
 		panic("kvm: RunL3GuestOS without a recursive stack")
 	}
-	gh2.loaded[c.ID] = loadedCtx{vcpu: nnv, mode: modeGuestOS}
-	gh1.loaded[c.ID] = loadedCtx{vcpu: nv, mode: modeNested}
+	gh2.cur(c).load(nnv, modeGuestOS)
+	gh1.cur(c).load(nv, modeNested)
 	// Cold-start bookkeeping for gh1: it has entered its VM's nested
 	// context (the L3 VM), exactly as its own eret handling would leave it.
 	gh1.loadNestedState(c, nv)
@@ -239,7 +282,7 @@ func (h *Hypervisor) PreparePeerVM(v *VCPU) {
 func (h *Hypervisor) PreparePeerNested(lv *VCPU) {
 	c := lv.PCPU
 	gh := lv.VM.GuestHyp
-	gh.loaded[c.ID] = loadedCtx{vcpu: lv.nestedVCPU(), mode: modeGuestOS}
+	gh.cur(c).load(lv.nestedVCPU(), modeGuestOS)
 	h.loadNestedState(c, lv)
 	h.enterSwitch(c, lv, modeNested)
 }
@@ -248,8 +291,7 @@ func (h *Hypervisor) PreparePeerNested(lv *VCPU) {
 // initial vcpu_load + guest entry.
 func (h *Hypervisor) enterSwitch(c *arm.CPU, v *VCPU, mode runMode) {
 	lc := h.cur(c)
-	lc.vcpu = v
-	lc.mode = mode
+	lc.load(v, mode)
 	h.guestEnterSeq(c, v, mode)
 	h.setGuestEnv(c, lc)
 }
@@ -271,8 +313,8 @@ func (v *VCPU) nestedVCPU() *VCPU {
 // exitSwitchCold tears down after a guest's code returns (end of workload);
 // costs are irrelevant (outside measurement), state must be consistent.
 func (h *Hypervisor) exitSwitchCold(c *arm.CPU, v *VCPU) {
-	h.loaded[c.ID] = loadedCtx{}
-	c.VIRQ = nil
+	h.cur(c).load(nil, 0)
+	c.SetVIRQ(nil)
 	c.SetReg(arm.HCR_EL2, 0)
 }
 
@@ -281,18 +323,17 @@ func (h *Hypervisor) exitSwitchCold(c *arm.CPU, v *VCPU) {
 // a target core receive an IPI at a deterministic point.
 func (h *Hypervisor) Service(c *arm.CPU) {
 	lc := h.cur(c)
-	if lc.vcpu == nil {
+	v := lc.vcpu()
+	if v == nil {
 		panic("kvm: Service on idle core")
 	}
 	level := arm.VLevel(1)
-	if lc.mode == modeNested {
+	guest := v.Guest
+	if lc.mode() == modeNested {
 		level = 2
+		guest = v.nestedVCPU().Guest
 	}
-	guest := lc.vcpu.Guest
-	if lc.mode == modeNested {
-		guest = lc.vcpu.nestedVCPU().Guest
-	}
-	c.VIRQ = guest
+	c.SetVIRQ(guest)
 	c.RunGuest(level, func() { c.Tick(1) })
 }
 

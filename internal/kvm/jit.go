@@ -1,7 +1,6 @@
 package kvm
 
 import (
-	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
@@ -9,254 +8,90 @@ import (
 )
 
 // This file wires the trace-JIT engine (internal/jit) to an assembled
-// stack: a single jit.Source that walks every piece of software state a
-// trap sequence can read or write, plus the hooks that arm the poison taps
-// covering everything the walk deliberately excludes.
+// stack. Every piece of software state a trap sequence can read or write
+// is either a tracked word, a tracked queue, covered by the structural
+// generation, or poisoned:
 //
-// The exclusions and why they are sound:
-//   - Physical memory contents and page-table descriptors: every access
-//     goes through mem.Memory, whose Tap poisons active recordings.
-//   - The stage-2 TLB: hits become replay-guard probes via OnLookup;
-//     misses and mutations poison.
-//   - Guest IRQ handler closures, IRQCount, and everything else touched in
-//     GuestCtx.HandleVIRQ: delivery poisons at its entry point.
-//   - Virtio ring cursors (Echo and Driver): every path that reads or
-//     advances them moves ring data through memory first, which poisons.
-//   - Timer state: enabled-line evaluation and counter reads poison.
-//   - NEVE deferred access pages: registered pages resolve to the vCPU's
-//     tracked PageCtx store (read/write-set tracked like any Context);
-//     only the unregistered-page fallback in core.pageAccess poisons.
-//   - Cycle accounting: expressed as ClockDeltas, not walked.
-//   - Saved register contexts (Context): tracked by read/write set
-//     through jit.FileTap instead of walked — see InstallJIT.
-type stackSource struct {
-	s *Stack
-	// sinks is the closed set of values arm.CPU.VIRQ takes in an
-	// assembled stack (nil plus every GuestCtx); the walk records the
-	// identity index, making sink changes replayable.
-	sinks []arm.VIRQSink
-	// vcpus is the identity table for loadedCtx.vcpu (index 0 is nil).
-	vcpus []*VCPU
-	// hypList is s.hyps() precomputed at install (hyps() allocates, and
-	// the walk runs on every replay); host/gh/gh2 pin the Stack fields it
-	// was derived from so a swapped hypervisor fails the walk instead of
-	// silently going unwalked.
-	hypList       []*Hypervisor
-	host, gh, gh2 *Hypervisor
+//   - Tracked files (read set guarded, write set restored): saved register
+//     contexts, each CPU's system registers and mode words, each
+//     hypervisor's loaded contexts and allocation cursors, each vCPU's
+//     bookkeeping, each VM's virtio registers, and the distributor's low
+//     interrupt state. In-flight forwarding records (pendingFwd,
+//     pendingEntry) are flag files: no super-op consumes a record it did
+//     not create or leaves one in flight.
+//   - Tracked queues: the CPUs' pending physical and the vCPUs' pending
+//     virtual interrupts.
+//   - The structural generation (the distributor's gen plus the host's
+//     bumpGen count): creation of VM and shadow Stage-2 tables, guest
+//     Stage-1 tables, the virtio device and its backend, the guest virtio
+//     driver, and guest IRQ handlers.
+//   - Poisoned: physical memory contents and page-table descriptors
+//     (mem.Memory's Tap), the stage-2 TLB (hits become replay-guard probes
+//     via OnLookup; misses and mutations poison), virtual interrupt
+//     delivery into a guest, enabled-timer evaluation and counter reads,
+//     the UART, guest Stage-1 table allocation, and NEVE accesses to an
+//     unregistered deferred access page.
+//
+// Deliberately unguarded:
+//   - Table Root is set only at construction and at restore, and restore
+//     resets the engine; table growth writes simulated memory, which
+//     poisons.
+//   - Virtio ring cursors and the guest driver's ring base: every path
+//     that reads or advances them moves ring data through memory.
+//   - Topology — hypervisor identity, VMs, vCPUs, contexts, distributor
+//     targets — is fixed when InstallJIT runs: CreateVM, attach and
+//     AddTarget run only during assembly.
+//   - The trace collector's mode: platform.Build installs the engine only
+//     without trace recording, fault plans or watchdogs, and SMP shards,
+//     which toggle counting, never dispatch.
+//   - Cycle accounting: expressed as ClockDeltas.
+
+// words is a small tracked file of model bookkeeping words: every access
+// goes through get and set, which report to the engine tap InstallJIT
+// installs (nil until then). Each word is one field, so no setter is a
+// read-modify-write.
+type words struct {
+	w  []uint64
+	jt *jit.FileTap
 }
 
-func (src *stackSource) sinkIndex(v arm.VIRQSink) int {
-	for i, s := range src.sinks {
-		if s == v {
-			return i
-		}
-	}
-	return -1
+func newWords(n int) words { return words{w: make([]uint64, n)} }
+
+func (t *words) get(i int) uint64 {
+	t.jt.Read(i)
+	return t.w[i]
 }
 
-func (src *stackSource) vcpuIndex(v *VCPU) int {
-	for i, s := range src.vcpus {
-		if s == v {
-			return i
-		}
-	}
-	return -1
+func (t *words) set(i int, v uint64) {
+	t.jt.Write(i)
+	t.w[i] = v
 }
 
-// WalkJIT implements jit.Source over the whole stack. The walk order is
-// fixed by the (fixed at assembly) topology, and every state-dependent
-// branch is pinned with a Shape word.
-func (src *stackSource) WalkJIT(w *jit.W) {
-	s := src.s
-	w.Shape(s.M.Trace.JITMode())
-	s.M.Dist.WalkJIT(w)
-	for _, c := range s.M.CPUs {
-		c.WalkJIT(w)
-		idx := src.sinkIndex(c.VIRQ)
-		if idx < 0 {
-			w.Fail()
-			return
-		}
-		tmp := uint64(idx)
-		w.Word(&tmp)
-		c.VIRQ = src.sinks[tmp]
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if s.Host != src.host || s.GuestHyp != src.gh || s.GuestHyp2 != src.gh2 {
-		w.Fail()
-		return
-	}
-	for _, h := range src.hypList {
-		src.walkHyp(w, h)
-	}
+	return 0
 }
 
-func (src *stackSource) walkHyp(w *jit.W, h *Hypervisor) {
-	for i := range h.hostCtxs {
-		if h.hostCtxs[i].jt == nil {
-			// A context created after InstallJIT is untracked: its reads
-			// would go unguarded, so no super-op may span it.
-			w.Fail()
-			return
-		}
+// bumpGen moves the stack's structural generation (kept by the host
+// hypervisor). Callers bump before building a lazily created object, so
+// a recording that builds one is not promoted and every super-op compiled
+// before it bails. Atomic: SMP vCPUs may create objects concurrently.
+func (h *Hypervisor) bumpGen() {
+	for h.Parent != nil {
+		h = h.Parent
 	}
-	for i := range h.loaded {
-		lc := &h.loaded[i]
-		idx := src.vcpuIndex(lc.vcpu)
-		if idx < 0 {
-			w.Fail()
-			return
-		}
-		tmp := uint64(idx) | uint64(lc.mode)<<16
-		w.Word(&tmp)
-		lc.vcpu = src.vcpus[tmp&0xffff]
-		lc.mode = runMode(tmp >> 16)
-	}
-	for _, f := range h.pendingFwd {
-		if f != nil {
-			// An exit queued for forwarding is in flight; its payload is not
-			// expressible as a state word.
-			w.Fail()
-			return
-		}
-	}
-	if h.guestMem != nil {
-		w.Shape(1)
-		tmp := uint64(h.guestMem.next)
-		w.Word(&tmp)
-		h.guestMem.next = mem.Addr(tmp)
-	} else {
-		w.Shape(0)
-	}
-	tmp := uint64(h.nextVMID)
-	w.Word(&tmp)
-	h.nextVMID = uint16(tmp)
-	for _, vm := range h.VMs {
-		src.walkVM(w, vm)
-	}
-}
-
-// walkTables pins a table tree's Go-side state. The descriptors themselves
-// live in simulated memory (tap-poisoned); Root and the page count only
-// change alongside descriptor writes, but walking them is cheap insurance.
-// Presence and the page count share one shape word (page counts stay far
-// below the presence bit).
-func walkTables(w *jit.W, t *mmu.Tables) {
-	if t == nil {
-		w.Shape(0)
-		return
-	}
-	w.Shape(1<<63 | uint64(t.Pages()))
-	tmp := uint64(t.Root)
-	w.Word(&tmp)
-	t.Root = mem.Addr(tmp)
-}
-
-func (src *stackSource) walkVM(w *jit.W, vm *VM) {
-	// vmid, gicShadowOwn, and gicShadow are excluded: they are assigned
-	// exactly once, when the VM's Stage-2 tables are built (initVMS2: at
-	// attach for a nested VM; for the host's VM at its first entry or,
-	// ahead of any SMP run, in smpSetup), and never change for a live *VM
-	// afterwards. A recording that builds the tables cannot promote (the
-	// new tables change the walk's shape word). Checkpoint restore
-	// rewrites them but also resets the engine.
-	var tmp uint64
-	walkTables(w, vm.s2)
-	if vm.virtio != nil {
-		dev := vm.virtio
-		// The backend cursors (echo) are excluded: every drain that could
-		// move them reads the ring through tapped memory. Its presence is
-		// pinned together with the device's.
-		shape := uint64(1)
-		if dev.echo != nil {
-			shape |= 2
-		}
-		w.Shape(shape)
-		w.Word(&dev.queuePFN)
-		w.Word(&dev.queueNum)
-		tmp = dev.status | uint64(dev.intStatus)<<32
-		w.Word(&tmp)
-		dev.status = tmp & 0xffffffff
-		dev.intStatus = uint32(tmp >> 32)
-	} else {
-		w.Shape(0)
-	}
-	for _, v := range vm.VCPUs {
-		walkVCPU(w, v)
-	}
-}
-
-// walkVCPU pins one vCPU's replay-relevant state.
-func walkVCPU(w *jit.W, v *VCPU) {
-	if v.EL1.jt == nil || v.VEL2.jt == nil || v.VirtEL1.jt == nil || v.PageCtx.jt == nil {
-		w.Fail()
-		return
-	}
-	tmp := uint64(v.dirtyLRs)
-	if v.InVEL2 {
-		tmp |= 1 << 8
-	}
-	if v.Online {
-		tmp |= 1 << 9
-	}
-	w.Word(&tmp)
-	v.dirtyLRs = int(tmp & 0xff)
-	v.InVEL2 = tmp&(1<<8) != 0
-	v.Online = tmp&(1<<9) != 0
-	w.Word(&v.x0)
-	w.IntSlice(&v.pendingVIRQ)
-	if v.pendingEntry != nil {
-		w.Fail()
-		return
-	}
-	walkTables(w, v.shadowS2)
-	if v.Guest == nil {
-		w.Shape(0)
-		return
-	}
-	g := v.Guest
-	// Guest presence and its irq-handler presence share a shape word.
-	shape := uint64(1)
-	if g.irqHandler != nil {
-		shape |= 2
-	}
-	w.Shape(shape)
-	walkTables(w, g.s1)
-	if g.s1 != nil {
-		tmp = uint64(g.s1.Mem.(*stage1Backing).next)
-		w.Word(&tmp)
-		g.s1.Mem.(*stage1Backing).next = mem.Addr(tmp)
-	}
-	if g.vq != nil {
-		w.Shape(1)
-		tmp = uint64(g.vq.Ring.Base)
-		w.Word(&tmp)
-		g.vq.Ring.Base = mem.Addr(tmp)
-	} else {
-		w.Shape(0)
-	}
+	h.gen.Add(1)
 }
 
 // InstallJIT attaches a trace-JIT engine to the stack: every core
-// dispatches through it, and its poison taps cover memory, the UART, and
-// the stage-2 TLB. Install after assembly (the walk's identity tables are
-// built from the final topology); repeated calls are no-ops.
+// dispatches through it, its poison taps cover memory, the UART, and the
+// stage-2 TLB, and every tracked file and queue is registered with it.
+// Install after assembly; repeated calls are no-ops.
 func (s *Stack) InstallJIT() {
 	if s.jit != nil {
 		return
-	}
-	src := &stackSource{s: s, host: s.Host, gh: s.GuestHyp, gh2: s.GuestHyp2}
-	src.hypList = s.hyps()
-	src.sinks = append(src.sinks, nil)
-	src.vcpus = append(src.vcpus, nil)
-	for _, h := range s.hyps() {
-		for _, vm := range h.VMs {
-			for _, v := range vm.VCPUs {
-				src.vcpus = append(src.vcpus, v)
-				if v.Guest != nil {
-					src.sinks = append(src.sinks, v.Guest)
-				}
-			}
-		}
 	}
 	m := s.M
 	tlb := m.S2.TLB
@@ -272,7 +107,10 @@ func (s *Stack) InstallJIT() {
 		TLBAddHits: tlb.AddHits,
 		TLBGen:     tlb.Gen,
 		ClockGap:   func(cpu int) uint64 { return m.CPUs[cpu].JITClockGap() },
-		Trace:      m.Trace,
+		// Both counters only grow between engine resets, so their sum
+		// moves exactly when either does.
+		Gen:   func() uint64 { return m.Dist.Gen() + s.Host.gen.Load() },
+		Trace: m.Trace,
 		Arm: func() {
 			m.Mem.Tap = eng.Poison
 			m.UART.Tap = eng.Poison
@@ -288,36 +126,36 @@ func (s *Stack) InstallJIT() {
 			tlb.OnLookup = nil
 		},
 	}
-	eng = jit.New([]jit.Source{src}, hooks)
-	// The saved register contexts are tracked by read/write set instead of
-	// being walked: they are large and a trap sequence touches few words.
-	// Their single access funnel (Context.Get/Set and the batched
-	// sequences over file()) notifies the engine during recordings; the
-	// walk fails over any context created after this registration pass.
-	track := func(ctx *Context) {
-		ctx.jt = eng.Tap(eng.RegisterFile(ctx.regs[:]))
-	}
+	eng = jit.New(hooks)
+	file := func(f []uint64) *jit.FileTap { return eng.Tap(eng.RegisterFile(f)) }
+	flags := func(f []uint64) *jit.FileTap { return eng.Tap(eng.RegisterFlags(f)) }
 	for _, h := range s.hyps() {
+		h.loaded.jt = file(h.loaded.w)
+		h.alloc.jt = file(h.alloc.w)
+		for i := range h.pendingFwd {
+			h.pendingFwd[i].jt = flags(h.pendingFwd[i].flag[:])
+		}
 		for i := range h.hostCtxs {
-			track(&h.hostCtxs[i])
+			h.hostCtxs[i].jt = file(h.hostCtxs[i].regs[:])
 		}
 		for _, vm := range h.VMs {
+			vm.vio.jt = file(vm.vio.w)
 			for _, v := range vm.VCPUs {
-				track(&v.EL1)
-				track(&v.VEL2)
-				track(&v.VirtEL1)
-				track(&v.PageCtx)
+				for _, ctx := range []*Context{&v.EL1, &v.VEL2, &v.VirtEL1, &v.PageCtx} {
+					ctx.jt = file(ctx.regs[:])
+				}
+				v.st.jt = file(v.st.w)
+				v.pendingEntry.jt = flags(v.pendingEntry.flag[:])
+				v.virqTap = eng.RegisterQueue(&v.pendingVIRQ)
 			}
 		}
 	}
+	m.Dist.SetJIT(eng)
 	for _, c := range m.CPUs {
 		c.SetJIT(eng)
 	}
 	s.jit = eng
 }
-
-// JIT returns the stack's trace-JIT engine, or nil.
-func (s *Stack) JIT() *jit.Engine { return s.jit }
 
 // JITStats returns the dispatch counters (zero when no engine is
 // installed).

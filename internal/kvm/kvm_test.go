@@ -155,7 +155,7 @@ func TestNestedVirtualIPIEndToEnd(t *testing.T) {
 			var got []int
 			lv1 := s.VM.VCPUs[1]
 			nv1 := lv1.nestedVCPU()
-			s.GuestHyp.loaded[c1.ID] = loadedCtx{vcpu: nv1, mode: modeGuestOS}
+			s.GuestHyp.cur(c1).load(nv1, modeGuestOS)
 			s.Host.loadNestedState(c1, lv1)
 			s.Host.enterSwitch(c1, lv1, modeNested)
 			nv1.Guest.OnIRQ(func(intid int) { got = append(got, intid) })

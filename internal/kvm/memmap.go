@@ -19,18 +19,18 @@ import (
 // guestBacking exposes machine memory at a guest hypervisor's (intermediate)
 // physical addresses, so the mmu table builders work unchanged for tables a
 // guest builds in its own memory. Pages come from a bump region at the top
-// of the guest's RAM.
+// of the guest's RAM; the cursor is the hypervisor's tracked hGuestNext
+// word.
 type guestBacking struct {
-	h    *Hypervisor
-	next mem.Addr
+	h *Hypervisor
 }
 
 func (b *guestBacking) AllocPage() mem.Addr {
-	if b.next == 0 {
-		b.next = GuestRAMIPA + mem.Addr(b.h.home.RAMSize) - mem.Addr(b.h.home.RAMSize/8)
+	p := mem.Addr(b.h.alloc.get(hGuestNext))
+	if p == 0 {
+		p = GuestRAMIPA + mem.Addr(b.h.home.RAMSize) - mem.Addr(b.h.home.RAMSize/8)
 	}
-	p := b.next
-	b.next += mem.PageSize
+	b.h.alloc.set(hGuestNext, uint64(p+mem.PageSize))
 	return p
 }
 
@@ -79,6 +79,7 @@ func (h *Hypervisor) ownToMachine(a mem.Addr) (mem.Addr, bool) {
 // linearly; device windows (virtio) are deliberately left unmapped so
 // accesses trap for emulation.
 func (h *Hypervisor) initVMS2(vm *VM) {
+	h.bumpGen()
 	vm.s2 = mmu.NewTables(h.backing())
 	vm.s2.Map(GuestRAMIPA, vm.RAMBase, vm.RAMSize, mmu.PermRWX)
 	if h.Cfg.GICv2 && h.neveActive(vm) {
@@ -94,8 +95,8 @@ func (h *Hypervisor) initVMS2(vm *VM) {
 		vm.gicShadow = ma
 		vm.s2.Map(gic.HostIfcBase, vm.gicShadowOwn, mem.PageSize, mmu.PermR)
 	}
-	h.nextVMID++
-	vm.vmid = h.nextVMID
+	vm.vmid = uint16(h.alloc.get(hNextVMID) + 1)
+	h.alloc.set(hNextVMID, uint64(vm.vmid))
 }
 
 // gichFaultReg resolves a Stage-2 fault in the GICH window to the backing
@@ -139,6 +140,7 @@ func (h *Hypervisor) shadowVTTBR(c *arm.CPU, v *VCPU) uint64 {
 		// Tables live in the hypervisor's own address space: machine
 		// memory for the host, guest physical memory for a deprivileged
 		// hypervisor (whose shadow is collapsed again by its parent).
+		h.bumpGen()
 		v.shadowS2 = mmu.NewTables(h.backing())
 	}
 	return mmu.MakeVTTBR(v.shadowS2.Root, shadowVMIDBase+uint16(v.PCPU.ID))
@@ -203,6 +205,7 @@ func (h *Hypervisor) fixShadowS2Fault(c *arm.CPU, v *VCPU, e *arm.Exception) boo
 		return false
 	}
 	if v.shadowS2 == nil {
+		h.bumpGen()
 		v.shadowS2 = mmu.NewTables(h.backing())
 	}
 	v.shadowS2.Map(e.FaultIPA.PageBase(), ownPA.PageBase(), mem.PageSize, res.Perm)
@@ -236,8 +239,7 @@ func (h *Hypervisor) tlbFlushPage(c *arm.CPU, vmid uint16, ipa mem.Addr) {
 // machine address using this hypervisor's view (for access replay after a
 // repaired fault). For nested mode it goes through the shadow tables.
 func (h *Hypervisor) ipaToMachine(v *VCPU, ipa mem.Addr) (mem.Addr, bool) {
-	lc := &h.loaded[v.PCPU.ID]
-	if lc.mode == modeNested && v.shadowS2 != nil {
+	if h.cur(v.PCPU).mode() == modeNested && v.shadowS2 != nil {
 		if res, ok := v.shadowS2.Walk(ipa); ok {
 			return h.ownToMachine(res.OA)
 		}

@@ -36,7 +36,7 @@ func (g *GuestCtx) PSCIVersion() uint64 {
 
 // CPUOn asks the hypervisor to power on another vCPU of the same VM.
 func (g *GuestCtx) CPUOn(target int) uint64 {
-	g.VCPU.x0 = uint64(target)
+	g.VCPU.setX0(uint64(target))
 	return g.CPU.HVC(immPSCICPUOn)
 }
 
@@ -49,31 +49,28 @@ func (g *GuestCtx) CPUOff() uint64 {
 // handlePSCI services the PSCI hypercalls. It returns (value, true) when
 // the immediate is a PSCI function. The result also lands in the calling
 // vCPU's virtual x0 so it survives exit forwarding.
-func (h *Hypervisor) handlePSCI(c *arm.CPU, lc *loadedCtx, imm uint16) (uint64, bool) {
-	v := lc.vcpu
-	ret := func(val uint64) (uint64, bool) {
-		v.x0 = val
-		return val, true
-	}
+func (h *Hypervisor) handlePSCI(c *arm.CPU, lc loadedCtx, imm uint16) (uint64, bool) {
+	v := lc.vcpu()
+	ret := func(val uint64) (uint64, bool) { return v.setX0(val), true }
 	switch imm {
 	case immPSCIVersion:
 		c.Work(workHypercall)
 		return ret(PSCIVersionValue)
 	case immPSCICPUOn:
 		c.Work(workPSCIOn)
-		target := int(v.x0)
+		target := int(v.x0())
 		if target < 0 || target >= len(v.VM.VCPUs) {
 			return ret(PSCIInvalidParams)
 		}
 		tv := v.VM.VCPUs[target]
-		if tv.Online {
+		if tv.Online() {
 			return ret(PSCIAlreadyOn)
 		}
 		h.powerOn(tv)
 		return ret(PSCISuccess)
 	case immPSCICPUOff:
 		c.Work(workHypercall)
-		v.Online = false
+		v.st.set(vcOnline, 0)
 		return ret(PSCISuccess)
 	default:
 		return 0, false
@@ -85,13 +82,13 @@ func (h *Hypervisor) handlePSCI(c *arm.CPU, lc *loadedCtx, imm uint16) (uint64, 
 // virtual state change its parent materializes the same way at the next
 // entry (the modeled stacks pin contexts, so the load is immediate).
 func (h *Hypervisor) powerOn(tv *VCPU) {
-	tv.Online = true
+	tv.st.set(vcOnline, 1)
 	if !h.IsHost() {
 		// The guest hypervisor marks its vCPU runnable; the physical
 		// context chain for that core is the host's business.
 		return
 	}
-	if h.loaded[tv.PCPU.ID].vcpu != nil {
+	if h.cur(tv.PCPU).vcpu() != nil {
 		return // core already carries a context
 	}
 	if tv.VM.GuestHyp != nil {

@@ -31,7 +31,7 @@ func TestPSCICPUOnBringsPeerUp(t *testing.T) {
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("IPI after CPU_ON delivered = %v", got)
 	}
-	if !s.VM.VCPUs[1].Online {
+	if !s.VM.VCPUs[1].Online() {
 		t.Fatal("vCPU 1 not online")
 	}
 }
@@ -52,7 +52,7 @@ func TestPSCICPUOff(t *testing.T) {
 			t.Errorf("CPU_OFF = %#x", r)
 		}
 	})
-	if s.VM.VCPUs[0].Online {
+	if s.VM.VCPUs[0].Online() {
 		t.Fatal("vCPU still online after CPU_OFF")
 	}
 }
@@ -69,7 +69,7 @@ func TestPSCIFromNestedVM(t *testing.T) {
 			t.Errorf("nested CPU_ON = %#x", r)
 		}
 	})
-	if !s.NestedVM.VCPUs[1].Online {
+	if !s.NestedVM.VCPUs[1].Online() {
 		t.Fatal("nested vCPU 1 not online")
 	}
 }

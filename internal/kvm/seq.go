@@ -396,7 +396,7 @@ func (h *Hypervisor) apRegs() int {
 // Reads dominate: under NEVE they are served from the cached copies in the
 // deferred access page without trapping.
 func (h *Hypervisor) vgicSave(c *arm.CPU, v *VCPU) {
-	if h.optimized() && v.dirtyLRs == 0 && len(v.pendingVIRQ) == 0 {
+	if h.optimized() && v.st.get(vcDirtyLRs) == 0 && !v.virqPending() {
 		// Optimized design: the interface is left enabled and untouched
 		// when no interrupts are in flight.
 		return
@@ -427,7 +427,7 @@ func (h *Hypervisor) vgicSave(c *arm.CPU, v *VCPU) {
 // under NEVE so the host hypervisor can sanitize and shadow them
 // (Section 4, interrupt virtualization).
 func (h *Hypervisor) vgicRestore(c *arm.CPU, v *VCPU) {
-	if h.optimized() && v.dirtyLRs == 0 && len(v.pendingVIRQ) == 0 {
+	if h.optimized() && v.st.get(vcDirtyLRs) == 0 && !v.virqPending() {
 		return
 	}
 	c.MemOp(uint64(usedLRs + 2))
@@ -444,7 +444,7 @@ func (h *Hypervisor) vgicRestore(c *arm.CPU, v *VCPU) {
 	for i := 0; i < h.apRegs(); i++ {
 		h.ichWrite(c, arm.ICH_AP1R0_EL2+arm.SysReg(i), 0)
 	}
-	for i := 0; i < v.dirtyLRs; i++ {
+	for i := 0; i < int(v.st.get(vcDirtyLRs)); i++ {
 		h.ichWrite(c, arm.ICHLR(i), v.EL1.Get(arm.ICHLR(i)))
 	}
 }

@@ -152,7 +152,7 @@ func (s *Stack) runOn(i int, fn func(g *GuestCtx)) {
 	if s.GuestHyp != nil {
 		lv := s.VM.VCPUs[i]
 		nv := lv.nestedVCPU()
-		s.GuestHyp.loaded[lv.PCPU.ID] = loadedCtx{vcpu: nv, mode: modeGuestOS}
+		s.GuestHyp.cur(lv.PCPU).load(nv, modeGuestOS)
 		s.Host.loadNestedState(lv.PCPU, lv)
 		s.Host.enterSwitch(lv.PCPU, lv, modeNested)
 		lv.PCPU.RunGuest(arm.VLevel(2), func() { fn(nv.Guest) })

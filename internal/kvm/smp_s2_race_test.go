@@ -26,7 +26,7 @@ func TestSMPParallelBuildsStage2Once(t *testing.T) {
 	if !par.stats.Parallel {
 		t.Fatal("storm fell back to sequential execution")
 	}
-	if got, want := s.Host.nextVMID, uint16(len(s.Host.VMs)); got != want {
+	if got, want := s.Host.alloc.w[hNextVMID], uint64(len(s.Host.VMs)); got != want {
 		t.Fatalf("host assigned %d VMIDs for %d VMs", got, want)
 	}
 	par.mustMatch(t, runSMPStorm(mk(), 8, 4, SMPOptions{Adaptive: true}), "parallel vs sequential")

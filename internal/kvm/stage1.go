@@ -37,6 +37,9 @@ func (b *stage1Backing) AllocPage() mem.Addr {
 	}
 	p := b.next
 	b.next += mem.PageSize
+	// The cursor is not a tracked word: a recording that advances it is
+	// not promotable.
+	b.g.CPU.JITPoison()
 	// Zero the fresh table page through the guest path.
 	for off := mem.Addr(0); off < mem.PageSize; off += 512 {
 		b.g.CPU.GuestWrite(p+off, 8, 0)
@@ -62,6 +65,7 @@ func (g *GuestCtx) EnableStage1() {
 		return
 	}
 	b := &stage1Backing{g: g}
+	g.VCPU.VM.Hyp.bumpGen()
 	g.s1 = mmu.NewTables(b)
 	g.CPU.MSR(ttbr0ForGuest, uint64(g.s1.Root))
 }

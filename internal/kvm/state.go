@@ -126,7 +126,7 @@ func (h *Hypervisor) projectVEL2Env(c *arm.CPU, v *VCPU) {
 		v.EL1.copyFrom(&v.VEL2, arm.CONTEXTIDR_EL1, arm.CONTEXTIDR_EL2)
 	}
 	c.MemOp(uint64(len(vel2RedirectRules) + 5))
-	v.InVEL2 = true
+	v.st.set(vcInVEL2, 1)
 }
 
 // projectVEL2Back harvests the redirect registers from the hardware
@@ -135,7 +135,7 @@ func (h *Hypervisor) projectVEL2Env(c *arm.CPU, v *VCPU) {
 // registers; under ARMv8.3 they were trapped and emulated, making this a
 // cheap no-op refresh.
 func (h *Hypervisor) projectVEL2Back(c *arm.CPU, v *VCPU) {
-	if !v.InVEL2 {
+	if v.st.get(vcInVEL2) == 0 {
 		return
 	}
 	for _, rule := range vel2RedirectRules {
@@ -143,5 +143,5 @@ func (h *Hypervisor) projectVEL2Back(c *arm.CPU, v *VCPU) {
 	}
 	v.VEL2.copyFrom(&v.EL1, arm.SP_EL2, arm.SP_EL1)
 	c.MemOp(uint64(len(vel2RedirectRules) + 1))
-	v.InVEL2 = false
+	v.st.set(vcInVEL2, 0)
 }

@@ -20,7 +20,7 @@ func (h *Hypervisor) vgicSendSGI(c *arm.CPU, vm *VM, target, intid int) {
 		panic(fmt.Sprintf("kvm[%s]: SGI to nonexistent vcpu %d", h.Cfg.Name, target))
 	}
 	tv := vm.VCPUs[target]
-	tv.pendingVIRQ = append(tv.pendingVIRQ, intid)
+	h.injectVIRQ(tv, intid)
 	h.kick(c, tv)
 }
 
@@ -45,7 +45,14 @@ func (h *Hypervisor) kick(c *arm.CPU, tv *VCPU) {
 // injectVIRQ queues a virtual interrupt for a vCPU of one of this
 // hypervisor's VMs.
 func (h *Hypervisor) injectVIRQ(v *VCPU, intid int) {
+	v.virqTap.Write()
 	v.pendingVIRQ = append(v.pendingVIRQ, intid)
+}
+
+// virqPending reports whether v has software-pending virtual interrupts.
+func (v *VCPU) virqPending() bool {
+	v.virqTap.Read()
+	return len(v.pendingVIRQ) > 0
 }
 
 // flushPendingVIRQ moves software-pending interrupts into the vCPU's saved
@@ -53,17 +60,18 @@ func (h *Hypervisor) injectVIRQ(v *VCPU, intid int) {
 // shadow) list registers on entry.
 func (h *Hypervisor) flushPendingVIRQ(v *VCPU) {
 	free := 0
-	for len(v.pendingVIRQ) > 0 && free < usedLRs {
+	for v.virqPending() && free < usedLRs {
 		lr := v.EL1.Get(arm.ICHLR(free))
 		if arm.LRStateOf(lr) != arm.LRStateInvalid {
 			free++
 			continue
 		}
+		v.virqTap.Write()
 		intid := v.pendingVIRQ[0]
 		v.pendingVIRQ = v.pendingVIRQ[1:]
 		v.EL1.Set(arm.ICHLR(free), arm.MakeLR(intid, -1))
-		if free+1 > v.dirtyLRs {
-			v.dirtyLRs = free + 1
+		if uint64(free+1) > v.st.get(vcDirtyLRs) {
+			v.st.set(vcDirtyLRs, uint64(free+1))
 		}
 		free++
 	}
@@ -74,8 +82,8 @@ func (h *Hypervisor) flushPendingVIRQ(v *VCPU) {
 // nested VM) was running means, and performs host-side routing. It reports
 // whether the interrupt must additionally be delivered to the guest
 // hypervisor of the current VM.
-func (h *Hypervisor) routeIRQToVM(c *arm.CPU, lc *loadedCtx, intid int) bool {
-	v := lc.vcpu
+func (h *Hypervisor) routeIRQToVM(c *arm.CPU, lc loadedCtx, intid int) bool {
+	v := lc.vcpu()
 	h.ackPhysIRQ(c, intid)
 	if intid != KickSGI {
 		// Device/timer/SGI interrupts are injected as virtual interrupts;
@@ -94,10 +102,10 @@ func (h *Hypervisor) routeIRQToVM(c *arm.CPU, lc *loadedCtx, intid int) bool {
 
 // handlePhysIRQ handles a physical interrupt taken while a plain guest,
 // the guest hypervisor, or its host kernel was loaded.
-func (h *Hypervisor) handlePhysIRQ(c *arm.CPU, lc *loadedCtx, intid int) {
+func (h *Hypervisor) handlePhysIRQ(c *arm.CPU, lc loadedCtx, intid int) {
 	c.Work(workVGICEmu)
 	h.ackPhysIRQ(c, intid)
-	v := lc.vcpu
+	v := lc.vcpu()
 	if intid == KickSGI {
 		h.flushPendingVIRQ(v)
 		return

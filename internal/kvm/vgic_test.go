@@ -25,8 +25,8 @@ func TestFlushPendingRespectsLRCapacity(t *testing.T) {
 	if len(v.pendingVIRQ) != 3 {
 		t.Fatalf("overflow queue = %d, want 3", len(v.pendingVIRQ))
 	}
-	if v.dirtyLRs != usedLRs {
-		t.Fatalf("dirtyLRs = %d, want %d", v.dirtyLRs, usedLRs)
+	if n := v.st.get(vcDirtyLRs); n != usedLRs {
+		t.Fatalf("dirtyLRs = %d, want %d", n, usedLRs)
 	}
 }
 

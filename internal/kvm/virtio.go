@@ -23,14 +23,14 @@ const (
 	VirtioIRQ = 49
 )
 
-// vmVirtio is the per-VM device instance.
-type vmVirtio struct {
-	queuePFN  uint64
-	queueNum  uint64
-	status    uint64
-	intStatus uint32
-	echo      *virtio.Echo
-}
+// Virtio register indices into VM.vio.
+const (
+	vioQueuePFN = iota
+	vioQueueNum
+	vioStatus
+	vioIntStatus
+	numVioWords
+)
 
 // hypRingMem is the backend's vhost-style access to guest memory:
 // addresses are guest-physical, pre-translated through the hypervisor's
@@ -73,10 +73,11 @@ func (m hypRingMem) Write64(a mem.Addr, v uint64) {
 // virtioMMIO emulates the virtio-mmio register block.
 func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 	vm := v.VM
-	if vm.virtio == nil {
-		vm.virtio = &vmVirtio{}
+	if !vm.virtioOn {
+		h.bumpGen()
+		vm.virtioOn = true
 	}
-	dev := vm.virtio
+	dev := &vm.vio
 	off := uint64(e.FaultIPA-VirtioBase) - VirtioRegOff
 	c.Work(workVirtioReg)
 	if !e.Write {
@@ -90,52 +91,54 @@ func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 		case virtio.RegQueueNumMax:
 			return virtio.QueueSize
 		case virtio.RegQueuePFN:
-			return dev.queuePFN
+			return dev.get(vioQueuePFN)
 		case virtio.RegIntStatus:
-			return uint64(dev.intStatus)
+			return dev.get(vioIntStatus)
 		case virtio.RegStatus:
-			return dev.status
+			return dev.get(vioStatus)
 		default:
 			return 0
 		}
 	}
 	switch off {
 	case virtio.RegQueueNum:
-		dev.queueNum = e.Val
+		dev.set(vioQueueNum, e.Val)
 	case virtio.RegQueuePFN:
-		dev.queuePFN = e.Val
-		dev.echo = &virtio.Echo{Ring: virtio.Ring{
+		dev.set(vioQueuePFN, e.Val)
+		h.bumpGen()
+		vm.echo = &virtio.Echo{Ring: virtio.Ring{
 			Mem:  hypRingMem{h: h, v: v, c: c},
 			Base: mem.Addr(e.Val << mem.PageShift),
 		}}
 	case virtio.RegStatus:
-		dev.status = e.Val
+		dev.set(vioStatus, e.Val)
 	case virtio.RegQueueNotify:
 		// The kick: drain the queue in the backend, then signal
 		// completion with the device interrupt.
-		if dev.echo == nil || dev.status&virtioStatusNeedsReset != 0 {
+		if vm.echo == nil || dev.get(vioStatus)&virtioStatusNeedsReset != 0 {
 			return 0
 		}
 		c.Work(workVirtioKick)
 		// Refresh the backend's memory view (the CPU handle changes per
 		// trap).
-		dev.echo.Ring.Mem = hypRingMem{h: h, v: v, c: c}
-		n, rf := drainRing(dev.echo)
+		vm.echo.Ring.Mem = hypRingMem{h: h, v: v, c: c}
+		n, rf := drainRing(vm.echo)
 		if rf != nil {
 			// The guest's ring points at unmapped memory: fail the
 			// device (NEEDS_RESET, no completion) and keep running; the
 			// driver observes the missing used entry.
-			dev.status |= virtioStatusNeedsReset
-			dev.echo = nil
+			dev.set(vioStatus, dev.get(vioStatus)|virtioStatusNeedsReset)
+			h.bumpGen()
+			vm.echo = nil
 			return 0
 		}
 		if n > 0 {
-			dev.intStatus |= 1
+			dev.set(vioIntStatus, dev.get(vioIntStatus)|1)
 			h.injectVIRQ(v, VirtioIRQ)
 			h.flushPendingVIRQ(v)
 		}
 	case virtio.RegIntACK:
-		dev.intStatus &^= uint32(e.Val)
+		dev.set(vioIntStatus, dev.get(vioIntStatus)&^uint64(uint32(e.Val)))
 	}
 	return 0
 }
@@ -192,6 +195,7 @@ func (g *GuestCtx) VirtioInit() error {
 	g.CPU.GuestWrite(base+virtio.RegQueueNum, 4, virtio.QueueSize)
 	g.CPU.GuestWrite(base+virtio.RegQueuePFN, 4, uint64(virtioRingIPA)>>mem.PageShift)
 	g.CPU.GuestWrite(base+virtio.RegStatus, 4, 0xf) // DRIVER_OK
+	g.VCPU.VM.Hyp.bumpGen()
 	g.vq = &virtio.Driver{Ring: virtio.Ring{Mem: guestRingMem{g}, Base: virtioRingIPA}}
 	return nil
 }

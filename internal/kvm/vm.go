@@ -5,6 +5,7 @@ import (
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
 	"github.com/nevesim/neve/internal/virtio"
@@ -51,8 +52,12 @@ type VM struct {
 	s2   *mmu.Tables
 	vmid uint16
 
-	// virtio is the VM's paravirtual device instance.
-	virtio *vmVirtio
+	// vio is the virtio device's register file (the vio* indices).
+	// virtioOn records that the guest has touched the device; echo is the
+	// backend, present once the guest has programmed a queue.
+	vio      words
+	virtioOn bool
+	echo     *virtio.Echo
 
 	// gicShadow backs the read-only Stage-2 mapping of the GICH window
 	// under NEVE with a GICv2 interface: reads of the hypervisor control
@@ -77,8 +82,7 @@ type VCPU struct {
 
 	// VEL2 is the virtual EL2 state when this vCPU runs a guest
 	// hypervisor: the trap-and-emulate backing store of Section 4.
-	VEL2   Context
-	InVEL2 bool
+	VEL2 Context
 
 	// VirtEL1 is the virtual EL1 state of the vCPU's nested VM while the
 	// guest hypervisor runs, maintained in hypervisor memory under
@@ -100,13 +104,15 @@ type VCPU struct {
 	PageCtx Context
 
 	// pendingVIRQ is the software-pending virtual interrupt queue of the
-	// managing hypervisor's virtual distributor.
+	// managing hypervisor's virtual distributor; virqTap reports its
+	// accesses to an installed trace-JIT engine.
 	pendingVIRQ []int
+	virqTap     *jit.QueueTap
 
-	// pendingEntry, when non-nil, is an exit the managing hypervisor has
-	// forwarded into this vCPU's virtual EL2 vector and that must run when
-	// the vCPU is next entered (recursive nesting, Section 6.2).
-	pendingEntry *arm.Exception
+	// pendingEntry holds an exit the managing hypervisor has forwarded
+	// into this vCPU's virtual EL2 vector and that must run when the vCPU
+	// is next entered (recursive nesting, Section 6.2).
+	pendingEntry inflight[arm.Exception]
 
 	// Guest is the OS/application software of this vCPU (nil when the
 	// vCPU's software is a hypervisor, which runs only via vector entry).
@@ -116,17 +122,35 @@ type VCPU struct {
 	// this vCPU runs a nested VM.
 	shadowS2 *mmu.Tables
 
-	// dirtyLRs is how many list registers the managing hypervisor's vgic
-	// currently considers live and re-programs on entry (KVM only writes
-	// used list registers).
-	dirtyLRs int
+	// st is the vCPU's bookkeeping (the vc* indices).
+	st words
+}
 
-	// x0 is the virtual first argument/return register: MMIO emulation
+// Tracked vCPU word indices into VCPU.st.
+const (
+	// vcDirtyLRs is how many list registers the managing hypervisor's
+	// vgic currently considers live and re-programs on entry (KVM only
+	// writes used list registers).
+	vcDirtyLRs = iota
+	// vcInVEL2 is 1 while the guest hypervisor's EL2 environment is
+	// projected into the hardware EL1 image.
+	vcInVEL2
+	// vcOnline is 1 once the vCPU has been powered on (PSCI).
+	vcOnline
+	// vcX0 is the virtual first argument/return register: MMIO emulation
 	// results and PSCI arguments travel through it.
-	x0 uint64
+	vcX0
+	numVCPUWords
+)
 
-	// Online reports whether the vCPU has been powered on (PSCI).
-	Online bool
+// Online reports whether the vCPU has been powered on (PSCI).
+func (v *VCPU) Online() bool { return v.st.get(vcOnline) != 0 }
+
+func (v *VCPU) x0() uint64 { return v.st.get(vcX0) }
+
+func (v *VCPU) setX0(x uint64) uint64 {
+	v.st.set(vcX0, x)
+	return x
 }
 
 func (v *VCPU) String() string {
@@ -198,15 +222,18 @@ func (g *GuestCtx) SendIPI(target, intid int) {
 }
 
 // OnIRQ registers the guest kernel's interrupt handler.
-func (g *GuestCtx) OnIRQ(fn func(intid int)) { g.irqHandler = fn }
+func (g *GuestCtx) OnIRQ(fn func(intid int)) {
+	g.irqHandler = fn
+	g.VCPU.VM.Hyp.bumpGen()
+}
 
 // HandleVIRQ implements arm.VIRQSink: the guest acknowledges the interrupt
 // through the hardware virtual CPU interface, runs its handler, and
 // completes the interrupt — without hypervisor involvement (Section 2).
 func (g *GuestCtx) HandleVIRQ(c *arm.CPU, intid int) {
 	// Delivery runs an arbitrary guest handler (workload closures whose
-	// captured state is outside the JIT walk), so a recording that reaches
-	// it cannot be promoted.
+	// captured state no tracked word expresses), so a recording that
+	// reaches it cannot be promoted.
 	c.JITPoison()
 	got := c.MRS(arm.ICC_IAR1_EL1)
 	c.Work(40) // generic kernel IRQ entry/dispatch

@@ -62,7 +62,7 @@ func (cp *hypCheckpoint) wire(c *wire.Codec, s *Stack, h *Hypervisor) {
 		}
 		ctx.Wire(c)
 	})
-	wire.Slice(c, &cp.loaded, func(c *wire.Codec, l *loadedCtx) {
+	wire.Slice(c, &cp.loaded, func(c *wire.Codec, l *loadedRef) {
 		h.wireVCPURef(c, &l.vcpu)
 		wire.Int(c, &l.mode)
 	})

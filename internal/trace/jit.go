@@ -144,23 +144,3 @@ func (c *Collector) ApplyCounterDelta(d *CounterDelta) {
 		c.sparse[e.k] += e.n
 	}
 }
-
-// JITMode packs the collector configuration bits that change what Trap()
-// does — and therefore what a super-op's counter delta must reproduce —
-// into one word the JIT walks as a structural guard.
-func (c *Collector) JITMode() uint64 {
-	if c == nil {
-		return 0
-	}
-	m := uint64(1)
-	if c.enabled {
-		m |= 2
-	}
-	if c.record {
-		m |= 4
-	}
-	if c.recent != nil {
-		m |= 8
-	}
-	return m
-}
