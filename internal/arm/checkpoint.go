@@ -69,4 +69,5 @@ func (c *CPU) Restore(cp *CPUCheckpoint) {
 	c.st[stInVIRQ] = b2u(cp.inVIRQ)
 	c.SetVIRQ(cp.virq)
 	c.excDepth = 0
+	c.markDepth = 0
 }

@@ -104,6 +104,10 @@ type CPU struct {
 	// handlers that keep exception data copy it (they all do).
 	excPool  [maxTrapDepth]Exception
 	excDepth int
+	// marks are the clock rollback points of in-flight speculative
+	// sequences, one slot per nesting depth (PushClockMark).
+	marks     []clockMark
+	markDepth int
 
 	// sinks is the append-only table st[stVIRQ] indexes (index 0 is nil):
 	// every virtual IRQ sink this core has been pointed at.
@@ -192,27 +196,44 @@ func (c *CPU) ResetLevelCycles() {
 // AddCycles charges raw cycles (used by device models).
 func (c *CPU) AddCycles(n uint64) { c.cycles += n }
 
-// ClockMark snapshots the core's cycle counter and attribution state so a
-// speculative sequence can be rolled back; see MarkClock/RewindClock.
-type ClockMark struct {
+// clockMark is a rollback point for the cycle accounting; see
+// PushClockMark.
+type clockMark struct {
 	cycles         uint64
 	levelCycles    [8]uint64
 	lastAttributed uint64
 }
 
-// MarkClock returns a rollback point for the cycle accounting. A caller
-// that charges cycles speculatively (a batched context sequence that may
-// diverge mid-way) takes a mark first and rewinds on divergence, so the
-// aborted attempt is not double-charged on top of the fallback path.
-func (c *CPU) MarkClock() ClockMark {
-	return ClockMark{cycles: c.cycles, levelCycles: c.levelCycles, lastAttributed: c.lastAttributed}
+// PushClockMark saves a rollback point for the cycle accounting and
+// returns its depth. A caller that charges cycles speculatively (a batched
+// context sequence that may abort mid-way) pushes a mark first, pops it
+// when the sequence completes, and on an aborting unwind calls
+// UnwindClockMark with the depth, so the aborted attempt is not
+// double-charged on top of the fallback path. Marks live in per-core
+// slots indexed by nesting depth, like excPool, so none is ever copied.
+func (c *CPU) PushClockMark() int {
+	d := c.markDepth
+	if d == len(c.marks) {
+		c.marks = append(c.marks, clockMark{})
+	}
+	m := &c.marks[d]
+	m.cycles, m.levelCycles, m.lastAttributed = c.cycles, c.levelCycles, c.lastAttributed
+	c.markDepth++
+	return d
 }
 
-// RewindClock restores the cycle accounting captured by MarkClock.
-func (c *CPU) RewindClock(m ClockMark) {
-	c.cycles = m.cycles
-	c.levelCycles = m.levelCycles
-	c.lastAttributed = m.lastAttributed
+// PopClockMark drops the innermost mark: its sequence completed.
+func (c *CPU) PopClockMark() { c.markDepth-- }
+
+// UnwindClockMark rewinds the cycle accounting to the mark at depth d and
+// drops it and every mark above it, unless that mark was already popped.
+func (c *CPU) UnwindClockMark(d int) {
+	if c.markDepth <= d {
+		return
+	}
+	m := &c.marks[d]
+	c.cycles, c.levelCycles, c.lastAttributed = m.cycles, m.levelCycles, m.lastAttributed
+	c.markDepth = d
 }
 
 // Work charges n instructions of straight-line work: the modeled software's

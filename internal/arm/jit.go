@@ -88,7 +88,7 @@ func (c *CPU) JITClockGap() uint64 { return c.cycles - c.lastAttributed }
 // attribution point (NeedGap false: the core was only charged raw cycles)
 // leave the attribution state alone; the others restore the recorded gap,
 // which tryReplay guarded.
-func (c *CPU) JITAdvanceClock(d jit.ClockDelta) {
+func (c *CPU) JITAdvanceClock(d *jit.ClockDelta) {
 	c.cycles += d.DCycles
 	if d.NeedGap {
 		for i := range d.DLevel {

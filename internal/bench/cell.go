@@ -57,9 +57,12 @@ func faultFrom(err error) *CellFault {
 // warm-boot cache (and, through it, the harness's durable checkpoint
 // store) across calls. It is the unit the fleet worker wraps: the
 // orchestrator shards cells to workers, each worker runs them through a
-// CellRunner, and because a cell's result is independent of every other
+// CellRunner, and because a cell's simulated result (every row field but
+// the JIT counters; see MicroResult.Sim) is independent of every other
 // cell, the merged sweep is byte-identical to an in-process Harness run
-// regardless of sharding or interleaving.
+// regardless of sharding or interleaving. The JIT counters are host-side:
+// a pooled platform keeps its compiled super-ops across cells, so they
+// depend on which cells it ran before.
 //
 // A CellRunner is safe for concurrent use; the in-process harness fans
 // cells out over one runner.

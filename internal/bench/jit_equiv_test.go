@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"github.com/nevesim/neve/internal/trace"
+)
 
 // TestJITGoldenEquiv is the trace-JIT correctness gate at the artifact
 // level: every measured table and figure must be byte-identical with the
@@ -47,5 +53,39 @@ func TestJITGoldenEquiv(t *testing.T) {
 		if c.JIT.Hits|c.JIT.Misses|c.JIT.Bailouts != 0 {
 			t.Fatalf("jit-off cell %s/%s has dispatch counters %+v", c.Config, c.Op, c.JIT)
 		}
+	}
+}
+
+// TestJITWarmOrderIndependence pins what keeping compiled super-ops
+// across warm restores may and may not change. One warm CellRunner runs
+// the Figure 2 grid in three seeded orders, so each pooled platform
+// carries the ops of different earlier cells into every cell. Every row's
+// simulated fields must equal the JIT-off reference regardless, and by
+// the third pass the retained ops must serve nearly every dispatch.
+func TestJITWarmOrderIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four Figure 2 sweeps")
+	}
+	want := Harness{Parallelism: 1, JITOff: true}.RunFigure2()
+	runner := Harness{Parallelism: 1}.NewCellRunner()
+	var last trace.JITStats
+	for pass, seed := range []uint64{1, 2, 3} {
+		last = trace.JITStats{}
+		for _, i := range rand.New(rand.NewPCG(seed, 0)).Perm(len(want)) {
+			ref := want[i]
+			got, err := runner.App(ref.Config, ref.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Sim(), ref.Sim()) {
+				t.Fatalf("pass %d: %s/%s diverges from jit-off:\n got %+v\nwant %+v", pass+1, ref.Workload, ref.Config, got.Sim(), ref.Sim())
+			}
+			last = last.Add(got.JIT)
+		}
+	}
+	ratio := float64(last.Hits) / float64(last.Hits+last.Misses+last.Bailouts)
+	t.Logf("third pass: %+v, hit ratio %.4f", last, ratio)
+	if ratio < 0.98 {
+		t.Fatalf("third pass hit ratio %.4f, want >= 0.98", ratio)
 	}
 }

@@ -29,7 +29,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range seqMicro {
 		s, p := seqMicro[i], parMicro[i]
-		if s != p {
+		if s.Sim() != p.Sim() {
 			t.Errorf("micro cell %d (%s/%s): sequential {cycles %d traps %d}, parallel {cycles %d traps %d}",
 				i, s.Op, s.Config, s.Cycles, s.Traps, p.Cycles, p.Traps)
 		}

@@ -45,6 +45,15 @@ type MicroResult struct {
 	Fault *CellFault `json:",omitempty"`
 }
 
+// Sim returns the row without its host-side JIT counters: the fields the
+// cell's simulation alone determines. The counters depend on which cells
+// a pooled platform ran before (compiled super-ops outlive restores), so
+// rows from different schedules compare equal only through Sim.
+func (r MicroResult) Sim() MicroResult {
+	r.JIT = trace.JITStats{}
+	return r
+}
+
 // RunAllMicro measures every microbenchmark on the harness's
 // configuration sweep. Cells run across the worker pool; the result order
 // is the sequential table order regardless of worker count.
@@ -196,6 +205,13 @@ type AppResult struct {
 	// Fault is non-nil when the cell livelocked or panicked (see
 	// MicroResult.Fault).
 	Fault *CellFault `json:",omitempty"`
+}
+
+// Sim returns the row without its host-side JIT counters (see
+// MicroResult.Sim).
+func (r AppResult) Sim() AppResult {
+	r.JIT = trace.JITStats{}
+	return r
 }
 
 // RunFigure2 measures every application workload on the harness's

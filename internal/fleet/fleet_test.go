@@ -43,6 +43,25 @@ func testOptions(t *testing.T) Options {
 	}
 }
 
+// sameSim reports whether two sweeps' rows are equal in every simulated
+// field; the JIT counters are host-side (bench.MicroResult.Sim).
+func sameSim(a, b *SweepResult) bool {
+	if len(a.Micro) != len(b.Micro) || len(a.Apps) != len(b.Apps) {
+		return false
+	}
+	for i := range a.Micro {
+		if !reflect.DeepEqual(a.Micro[i].Sim(), b.Micro[i].Sim()) {
+			return false
+		}
+	}
+	for i := range a.Apps {
+		if !reflect.DeepEqual(a.Apps[i].Sim(), b.Apps[i].Sim()) {
+			return false
+		}
+	}
+	return true
+}
+
 func mustRun(t *testing.T, opts Options) *SweepResult {
 	t.Helper()
 	res, err := Run(opts)
@@ -205,7 +224,7 @@ func TestFleetStoreSharedAcrossRestart(t *testing.T) {
 	if second.Stats.Store.Corrupt != 0 {
 		t.Fatalf("restart detected spurious corruption (store stats %+v)", second.Stats.Store)
 	}
-	if !reflect.DeepEqual(first.Micro, second.Micro) || !reflect.DeepEqual(first.Apps, second.Apps) {
+	if !sameSim(first, second) {
 		t.Fatal("restarted fleet produced different rows")
 	}
 }
@@ -241,7 +260,7 @@ func TestFleetSurvivesCorruptStore(t *testing.T) {
 	if second.Stats.Store.Corrupt == 0 {
 		t.Fatalf("corrupted store produced no corruption detections (stats %+v)", second.Stats.Store)
 	}
-	if !reflect.DeepEqual(first.Micro, second.Micro) || !reflect.DeepEqual(first.Apps, second.Apps) {
+	if !sameSim(first, second) {
 		t.Fatal("corrupt-store sweep produced different rows")
 	}
 }

@@ -93,7 +93,8 @@ func (s *SweepResult) Tables() string {
 // Check verifies the sweep against a fresh in-process run of the
 // reference harness: every result row must be deeply equal and the
 // formatted artifacts byte-identical. Host-side fields (Stats,
-// Degraded) are outside the comparison by construction. A sweep with
+// Degraded, and each row's JIT counters, which depend on the cells a
+// worker's pooled platform ran before) are outside the comparison. A sweep with
 // degraded cells cannot pass — degradation means observations are
 // missing, and Check says so rather than comparing garbage.
 func (s *SweepResult) Check(h bench.Harness) error {
@@ -108,13 +109,13 @@ func (s *SweepResult) Check(h bench.Harness) error {
 			len(s.Micro), len(s.Apps), len(micro), len(apps))
 	}
 	for i := range micro {
-		if !reflect.DeepEqual(micro[i], s.Micro[i]) {
+		if !reflect.DeepEqual(micro[i].Sim(), s.Micro[i].Sim()) {
 			return fmt.Errorf("fleet: micro row %d (%v/%v) diverges:\n fleet   %+v\n harness %+v",
 				i, s.Micro[i].Op, s.Micro[i].Config, s.Micro[i], micro[i])
 		}
 	}
 	for i := range apps {
-		if !reflect.DeepEqual(apps[i], s.Apps[i]) {
+		if !reflect.DeepEqual(apps[i].Sim(), s.Apps[i].Sim()) {
 			return fmt.Errorf("fleet: app row %d (%s/%v) diverges:\n fleet   %+v\n harness %+v",
 				i, s.Apps[i].Workload, s.Apps[i].Config, s.Apps[i], apps[i])
 		}

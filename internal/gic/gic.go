@@ -78,8 +78,8 @@ type Dist struct {
 
 	// gen counts mutations the tracked words do not express: routing
 	// changes, interrupt IDs at or above jitINTIDs, and bulk
-	// reconfiguration. It is part of the trace-JIT's structural
-	// generation, so bumping it invalidates every compiled super-op.
+	// reconfiguration. Bumping it makes the trace-JIT's structural
+	// generation be recomputed from AppendStructure.
 	gen uint64
 }
 

@@ -9,16 +9,22 @@
 // accessors report word reads and writes through a FileTap, a tracked
 // queue's through a QueueTap, so a super-op guards exactly its read set
 // and commits exactly its write set. Facts no tracked word expresses (the
-// creation of lazily built objects, coarse device reconfiguration) move
-// one structural generation (Hooks.Gen), compared once per attempt.
-// Everything else is poisoned: memory, device, and TLB mutation hooks
-// armed for the duration of a recording mark it non-promotable, as does
-// any access to an unregistered file. A super-op therefore replays if and
-// only if every tracked word and queue it read still holds what it read,
-// the generation is the one it was recorded under, and every stage-2 TLB
-// translation it consumed is still cached with the same result (the
-// probes). On any mismatch the trap runs interpreted with zero behavioral
-// difference.
+// creation of lazily built objects, table roots, coarse device
+// reconfiguration) are named by one structural generation (Hooks.Gen): a
+// word where equal values mean identical structural facts, compared once
+// per dispatch. Everything else is poisoned: memory, device, and TLB
+// mutation hooks armed for the duration of a recording mark it
+// non-promotable, as does any access to an unregistered file. A super-op
+// therefore replays if and only if every tracked word and queue it read
+// still holds what it read, the generation names the structural state it
+// was recorded in, and every stage-2 TLB translation it consumed is still
+// cached with the same result (the probes). On any mismatch the trap runs
+// interpreted with zero behavioral difference.
+//
+// Because every guard is a pure precondition on live state, compiled
+// super-ops outlive snapshot restores: a warm-boot pool re-entering the
+// same states replays from its first dispatch instead of re-recording
+// (see Quiesce).
 //
 // Every guard is a value guard. A register copy between tracked files (the
 // batched world-switch sequences, context-to-context bookkeeping moves) is
@@ -58,11 +64,15 @@ const (
 	// poisonLimit retires a trap cause after this many failed recordings;
 	// causes that keep touching untracked state are never worth retrying.
 	poisonLimit = 4
-	// maxChain bounds the super-op variants kept per cause; move-to-front
-	// keeps the matching variant's guard check first, so a longer chain
-	// costs little per dispatch, but a cause needing still more variants
-	// is effectively data-dependent.
-	maxChain = 8
+	// maxChain bounds the super-op variants kept per cause. Measured on a
+	// warm fig2 sweep with ops kept across restores, causes hold 1 (187
+	// causes), 2 (44), 7 (147) or 14 (27) variants, at most 15: a bound of
+	// 8 left 46,632 bailouts per warm pass, 16 or more leave 1,589, and 32
+	// leaves room for twice the largest. Move-to-front keeps the
+	// matching variant's guard check first, so a longer chain costs little
+	// per dispatch; a cause needing still more variants is effectively
+	// data-dependent.
+	maxChain = 32
 )
 
 // Probe records one stage-2 TLB translation consumed during a recording.
@@ -102,7 +112,7 @@ type ClockDelta struct {
 type Hooks struct {
 	NumCPUs      int
 	ClockState   func(cpu int) ClockState
-	AdvanceClock func(cpu int, d ClockDelta)
+	AdvanceClock func(d *ClockDelta)
 	// TLBProbe looks up a stage-2 translation without counting or
 	// mutating; TLBAddHits back-fills the hit statistics a replay skipped.
 	TLBProbe   func(vmid uint16, ia uint64) (pa, perm uint64, ok bool)
@@ -114,10 +124,10 @@ type Hooks struct {
 	// clock fact the replay guard needs, fetched without copying the full
 	// ClockState.
 	ClockGap func(cpu int) uint64
-	// Gen returns the structural generation. It moves whenever a fact no
-	// tracked word expresses changes; replay requires the generation its
-	// recording ran under, and a recording during which it moves is not
-	// promoted.
+	// Gen returns the structural generation: a name for the structural
+	// facts no tracked word expresses, equal exactly when those facts are.
+	// Replay requires the generation its recording ran under, and a
+	// recording during which it moves is not promoted.
 	Gen   func() uint64
 	Trace *trace.Collector
 	// Arm and Disarm install and remove the poison taps on memory,
@@ -136,16 +146,6 @@ type FileID int32
 type fileWord struct {
 	f   FileID
 	idx int32
-	val uint64
-}
-
-// ptrWord is a promoted fileWord: the (file, index) pair resolved to the
-// word's address. Registered files never move — their storage is
-// allocated once with the stack topology, and snapshot restore writes
-// into it rather than replacing it — so promotion resolves each tracked
-// word once and replay pays a single dereference.
-type ptrWord struct {
-	p   *uint64
 	val uint64
 }
 
@@ -329,13 +329,29 @@ func (e *Engine) queueAccess(id int32, st uint8) {
 	e.qseen[id] = st
 }
 
+// opShape is the address layout of a super-op's tracked-file guards and
+// writes: each (file, index) pair resolved to the word's address.
+// Registered files never move — their storage is allocated once with the
+// stack topology, and snapshot restore writes into it rather than
+// replacing it — so promotion resolves each tracked word once and replay
+// pays a single dereference. Variants of one cause, and many causes, touch
+// the same words, so promotion interns shapes and each op keeps only the
+// values.
+type opShape struct {
+	reads  []*uint64
+	writes []*uint64
+}
+
 // superOp is the compiled form of one recorded trap sequence.
 type superOp struct {
 	exc [ExcWords]uint64
 	// gen is the structural generation the recording ran under.
-	gen     uint64
-	freads  []ptrWord
-	fwrites []ptrWord
+	gen   uint64
+	shape *opShape
+	// rvals are the guarded values of shape.reads; wvals the values
+	// replay stores to shape.writes.
+	rvals   []uint64
+	wvals   []uint64
 	qreads  []queueVal
 	qwrites []queueVal
 	probes  []Probe
@@ -390,6 +406,12 @@ type Engine struct {
 	fileBases map[*uint64]FileID
 	rdSeen    [][2]uint64
 	wrSeen    [][2]uint64
+	// shapes interns opShapes by a hash of their (file, index) lists;
+	// lookups compare the address lists exactly. ptrs and vals are
+	// promotion scratch.
+	shapes map[uint64][]*opShape
+	ptrs   []*uint64
+	vals   []uint64
 	// queues holds the tracked queues; qseen is their recording state.
 	queues []*[]int
 	qseen  []uint8
@@ -402,6 +424,7 @@ func New(hooks Hooks) *Engine {
 	return &Engine{
 		hooks:   hooks,
 		entries: make(map[uint64]*entry),
+		shapes:  make(map[uint64][]*opShape),
 		marks:   make([]ClockState, hooks.NumCPUs),
 	}
 }
@@ -431,13 +454,17 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 		e.entries[h] = ent
 	}
 	matched := false
+	var gen uint64
+	if ent.ops != nil {
+		gen = e.hooks.Gen()
+	}
 	var prev *superOp
 	for op := ent.ops; op != nil; prev, op = op, op.next {
 		if op.exc != *exc {
 			continue
 		}
 		matched = true
-		if v, ok := e.tryReplay(op); ok {
+		if v, ok := e.tryReplay(op, gen); ok {
 			if prev != nil {
 				// Move-to-front: the variant that matches the live state
 				// tends to keep matching, and every variant ahead of it
@@ -471,13 +498,14 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 // and, between chain variants of one cause, most-discriminating-first:
 // the tracked-file read set is where world-switch variants differ — and
 // mutates nothing, so a bailout leaves the machine untouched.
-func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
-	if e.hooks.Gen() != op.gen {
+func (e *Engine) tryReplay(op *superOp, gen uint64) (uint64, bool) {
+	if gen != op.gen {
 		return 0, false
 	}
-	for i := range op.freads {
-		g := &op.freads[i]
-		if *g.p != g.val {
+	sh := op.shape
+	rv := op.rvals[:len(sh.reads)]
+	for i, p := range sh.reads {
+		if *p != rv[i] {
 			return 0, false
 		}
 	}
@@ -506,16 +534,16 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 		}
 	}
 	// Commit: from here on divergence is a bug, not a bailout.
-	for i := range op.fwrites {
-		fw := &op.fwrites[i]
-		*fw.p = fw.val
+	wv := op.wvals[:len(sh.writes)]
+	for i, p := range sh.writes {
+		*p = wv[i]
 	}
 	for i := range op.qwrites {
 		qw := &op.qwrites[i]
 		*qw.q = append((*qw.q)[:0], qw.vals...)
 	}
 	for i := range op.clocks {
-		e.hooks.AdvanceClock(op.clocks[i].CPU, op.clocks[i])
+		e.hooks.AdvanceClock(&op.clocks[i])
 	}
 	if len(op.probes) > 0 {
 		e.hooks.TLBAddHits(uint64(len(op.probes)))
@@ -590,26 +618,17 @@ func (e *Engine) EndRecord(retVal uint64) {
 		rec.ent.poison++
 		return
 	}
-	freads := make([]ptrWord, len(rec.freads))
-	for i := range rec.freads {
-		g := &rec.freads[i]
-		freads[i] = ptrWord{p: &e.files[g.f-1][g.idx], val: g.val}
-	}
-	fwrites := make([]ptrWord, len(rec.fwrites))
-	for i := range rec.fwrites {
-		fw := &rec.fwrites[i]
-		p := &e.files[fw.f-1][fw.idx]
-		fwrites[i] = ptrWord{p: p, val: *p}
-	}
 	qwrites := make([]queueVal, len(rec.qwrites))
 	for i, id := range rec.qwrites {
 		qwrites[i] = queueVal{q: e.queues[id], vals: slices.Clone(*e.queues[id])}
 	}
+	shape, rvals, wvals := e.compileFiles(rec)
 	op := &superOp{
 		exc:     rec.exc,
 		gen:     rec.gen,
-		freads:  freads,
-		fwrites: fwrites,
+		shape:   shape,
+		rvals:   rvals,
+		wvals:   wvals,
 		qreads:  slices.Clone(rec.qreads),
 		qwrites: qwrites,
 		probes:  slices.Clone(rec.probes),
@@ -626,6 +645,62 @@ func (e *Engine) EndRecord(retVal uint64) {
 	rec.ent.ops = op
 	rec.ent.nops++
 	rec.ent.count = 0
+}
+
+// compileFiles resolves the recording's tracked-file read and write sets
+// into an interned shape plus per-op values. The write set drops silent
+// writes: a word the recording read first and left at the value it read
+// is already proven unchanged by the read guard, so storing it again is a
+// no-op. The read pass finds them — a read word whose write bit is also
+// set and whose final value is the one read — and clears the write bit,
+// which the write pass then skips (the bitmaps are per-recording
+// scratch). The result slices are sized exactly; the (file, index) lists
+// are hashed as they are resolved, so finding an existing shape costs one
+// map lookup and an address compare.
+func (e *Engine) compileFiles(rec *recording) (*opShape, []uint64, []uint64) {
+	h := uint64(14695981039346656037)
+	ptrs := e.ptrs[:0]
+	rvals := make([]uint64, len(rec.freads))
+	for i := range rec.freads {
+		g := &rec.freads[i]
+		f, word, bit := g.f-1, g.idx>>6, uint64(1)<<uint(g.idx&63)
+		p := &e.files[f][g.idx]
+		if e.wrSeen[f][word]&bit != 0 && *p == g.val {
+			e.wrSeen[f][word] &^= bit
+		}
+		ptrs = append(ptrs, p)
+		rvals[i] = g.val
+		h = (h ^ (uint64(g.f)<<32 | uint64(g.idx))) * 1099511628211
+	}
+	nreads := len(ptrs)
+	h = (h ^ ^uint64(0)) * 1099511628211
+	vals := e.vals[:0]
+	for i := range rec.fwrites {
+		fw := &rec.fwrites[i]
+		if e.wrSeen[fw.f-1][fw.idx>>6]&(1<<uint(fw.idx&63)) == 0 {
+			continue
+		}
+		p := &e.files[fw.f-1][fw.idx]
+		ptrs = append(ptrs, p)
+		vals = append(vals, *p)
+		h = (h ^ (uint64(fw.f)<<32 | uint64(fw.idx))) * 1099511628211
+	}
+	e.ptrs, e.vals = ptrs, vals
+	reads, writes := ptrs[:nreads], ptrs[nreads:]
+	var shape *opShape
+	for _, sh := range e.shapes[h] {
+		if slices.Equal(sh.reads, reads) && slices.Equal(sh.writes, writes) {
+			shape = sh
+			break
+		}
+	}
+	if shape == nil {
+		shape = &opShape{reads: slices.Clone(reads), writes: slices.Clone(writes)}
+		e.shapes[h] = append(e.shapes[h], shape)
+	}
+	wvals := make([]uint64, len(vals))
+	copy(wvals, vals)
+	return shape, rvals, wvals
 }
 
 // flagsClear reports whether the recording observed every in-flight flag
@@ -650,7 +725,7 @@ func (e *Engine) AbortRecord() {
 	if rec == nil {
 		return
 	}
-	e.Quiesce()
+	e.abort()
 	rec.ent.poison++
 }
 
@@ -679,31 +754,35 @@ func (e *Engine) LogProbe(vmid uint16, ia, pa, perm uint64, hit bool) {
 	rec.probes = append(rec.probes, Probe{VMID: vmid, IA: ia, PA: pa, Perm: perm})
 }
 
-// Quiesce aborts any in-flight recording and keeps the compiled cache;
-// snapshot restore calls it. A restore swaps state under an active
-// recording's feet invisibly to the poison taps, so the capture must be
-// discarded (without charging the cause — the recording did nothing
-// wrong). The compiled super-ops survive: their guards are pure value
-// preconditions re-validated against live state on every dispatch, so an
-// op whose preconditions no longer hold bails to the interpreter, while
-// one whose preconditions recur after the restore — the entire point of
-// a warm-boot sweep re-entering the same states — replays soundly.
+// Quiesce readies the engine for a snapshot restore: it aborts any
+// in-flight recording and restarts every cause's sighting count, keeping
+// the compiled super-ops, their poison counts and the statistics. A
+// restore swaps state under an active recording's feet invisibly to the
+// poison taps, so the capture must be discarded (without charging the
+// cause — the recording did nothing wrong). The compiled super-ops
+// survive: their guards are pure value preconditions re-validated against
+// live state on every dispatch, and the structural generation names the
+// structural state rather than counting its changes, so an op whose
+// preconditions no longer hold bails to the interpreter, while one whose
+// preconditions recur after the restore — the entire point of a warm-boot
+// sweep re-entering the same states — replays soundly from the first
+// dispatch. Sightings restart so that recording after a restore depends
+// on the restored run alone, not on how far the previous one got.
 func (e *Engine) Quiesce() {
+	e.abort()
+	for _, ent := range e.entries {
+		ent.count = 0
+	}
+}
+
+// abort discards the in-flight recording, if any.
+func (e *Engine) abort() {
 	if e.rec == nil {
 		return
 	}
 	e.rec = nil
 	e.hooks.Disarm()
 	e.hooks.Trace.AbortCounterLog()
-}
-
-// Reset drops the super-op cache and statistics, aborting any in-flight
-// recording first: full invalidation, for callers that change the rules
-// the cache was compiled under (platform rebuilds, tests).
-func (e *Engine) Reset() {
-	e.Quiesce()
-	clear(e.entries)
-	e.stats = trace.JITStats{}
 }
 
 // Stats returns the dispatch counters.

@@ -49,7 +49,7 @@ func newFake() *fakeMachine {
 	hooks := Hooks{
 		NumCPUs:    1,
 		ClockState: func(int) ClockState { return m.clock },
-		AdvanceClock: func(_ int, d ClockDelta) {
+		AdvanceClock: func(d *ClockDelta) {
 			m.clock.Cycles += d.DCycles
 			for l := range d.DLevel {
 				m.clock.Level[l] += d.DLevel[l]
@@ -396,10 +396,10 @@ func TestNestedDispatchMisses(t *testing.T) {
 	}
 }
 
-// TestQuiesceAndReset pins the snapshot-restore contract: Quiesce aborts
-// an in-flight recording without charging the cause and keeps the
-// compiled cache; Reset drops cache and statistics.
-func TestQuiesceAndReset(t *testing.T) {
+// TestQuiesce pins the snapshot-restore contract: Quiesce aborts an
+// in-flight recording without charging the cause, keeps the compiled cache
+// and the statistics, and restarts every cause's sighting count.
+func TestQuiesce(t *testing.T) {
 	m := newFake()
 	handler := func() uint64 { return 0 }
 	m.promote(t, 13, handler)
@@ -414,25 +414,66 @@ func TestQuiesceAndReset(t *testing.T) {
 	if !m.eng.Recording() {
 		t.Fatalf("Recording() false with a capture in flight")
 	}
+	before := m.eng.Stats()
 	m.eng.Quiesce()
 	if m.eng.Recording() {
 		t.Fatalf("Quiesce left the recording armed")
+	}
+	if got := m.eng.Stats(); got != before {
+		t.Fatalf("Quiesce changed the statistics: %+v, want %+v", got, before)
 	}
 	if _, st := m.trap(13, handler); st != Hit {
 		t.Fatalf("Quiesce dropped the compiled cache")
 	}
 	// The aborted recording must not count against cause 14's poison
-	// budget: it still gets promoted on its next sighting.
+	// budget, and its sightings restart: it records again only after a
+	// full threshold of fresh sightings.
+	for i := 1; i < defaultThreshold; i++ {
+		if _, st := m.trap(14, handler); st != Miss {
+			t.Fatalf("quiesced cause sighting %d: status %v, want Miss", i, st)
+		}
+	}
 	if _, st := m.trap(14, handler); st != Record {
 		t.Fatalf("quiesced cause did not re-record")
 	}
-	m.eng.Reset()
-	if causes, ops := m.eng.Entries(); causes != 0 || ops != 0 {
-		t.Fatalf("Reset kept %d causes / %d ops", causes, ops)
+	if causes, ops := m.eng.Entries(); causes != 2 || ops != 2 {
+		t.Fatalf("after re-recording: %d causes / %d ops, want 2/2", causes, ops)
 	}
-	wantStats(t, m.eng, 0, 0, 0)
-	if _, st := m.trap(13, handler); st == Hit {
-		t.Fatalf("replay hit after Reset")
+}
+
+// TestSilentWritesAndSharedShapes pins the retained op layout: a write
+// that leaves a word at the value the recording read first is not stored
+// (the read guard already proves it a no-op), and two variants of a cause
+// touching the same words share one address layout.
+func TestSilentWritesAndSharedShapes(t *testing.T) {
+	m := newFake()
+	handler := func() uint64 {
+		v := m.read(0)
+		m.write(0, v+1)
+		m.write(0, v) // back where it was read: silent
+		m.write(1, v*2)
+		return 0
+	}
+	m.promote(t, 24, handler)
+	m.words[0] = 5
+	m.promote(t, 24, handler) // second variant: same words, other values
+	ent := m.eng.entries[hashExc(0, &[ExcWords]uint64{24})]
+	a, b := ent.ops, ent.ops.next
+	if a == nil || b == nil {
+		t.Fatalf("want two variants")
+	}
+	if a.shape != b.shape {
+		t.Fatalf("variants over the same words do not share a shape")
+	}
+	if got := len(a.shape.writes); got != 1 {
+		t.Fatalf("write set has %d words, want 1 (the silent write dropped)", got)
+	}
+	if len(a.wvals) != 1 || cap(a.rvals) != 1 {
+		t.Fatalf("value lists not sized exactly: rvals cap %d, wvals len %d", cap(a.rvals), len(a.wvals))
+	}
+	m.words = [3]uint64{5, 0, 0}
+	if _, st := m.trap(24, handler); st != Hit || m.words != [3]uint64{5, 10, 0} {
+		t.Fatalf("replay: status %v words %v, want Hit [5 10 0]", st, m.words)
 	}
 }
 

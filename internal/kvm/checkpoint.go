@@ -210,13 +210,12 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 	}
 	s.lastSMP = cp.lastSMP
 	if s.jit != nil {
-		// Full invalidation, not just a Quiesce: super-op guards are value
-		// preconditions and would stay sound across the restore, but
-		// warm-boot pools share one boot checkpoint between cells running
-		// different workloads, and a cache of never-matching variants both
-		// costs a failed guard check per dispatch and exhausts the chain
-		// slots the new workload needs for its own recordings.
-		s.jit.Reset()
+		// The compiled super-ops stay: their guards are value
+		// preconditions on live state, and the structural generation is
+		// recomputed from the restored objects (the bumpGen below), so an
+		// op replays after the restore exactly when its recorded state
+		// recurs.
+		s.jit.Quiesce()
 	}
 	s.M.Restore(cp.machine)
 	n := 1
@@ -236,6 +235,7 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 	if s.GuestHyp2 != nil {
 		restoreHyp(s.GuestHyp2, &cp.hyps[2])
 	}
+	s.Host.bumpGen()
 }
 
 func restoreHyp(h *Hypervisor, cp *hypCheckpoint) {
@@ -294,10 +294,11 @@ func restoreVM(vm *VM, cp *vmCheckpoint) {
 			if vm.echo == nil {
 				// The ring Memory view is per-trap wiring: the kick path
 				// installs a fresh hypRingMem before every drain.
-				vm.echo = &virtio.Echo{Ring: virtio.Ring{
-					Base: mem.Addr(cp.virtio.queuePFN << mem.PageShift),
-				}}
+				vm.echo = &virtio.Echo{}
 			}
+			// The backend was built with the ring at the programmed
+			// queue PFN, which the register file carries.
+			vm.echo.Ring.Base = mem.Addr(cp.virtio.queuePFN << mem.PageShift)
 			vm.echo.Restore(*cp.virtio.echo)
 		}
 	}

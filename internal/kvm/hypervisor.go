@@ -139,7 +139,7 @@ type Hypervisor struct {
 	pendingFwd []inflight[fwd]
 	guestMem   *guestBacking
 
-	// gen is the structural generation of the whole stack, kept by the
+	// gen counts structural changes anywhere in the stack, kept by the
 	// host (see bumpGen).
 	gen atomic.Uint64
 }

@@ -1,6 +1,8 @@
 package kvm
 
 import (
+	"encoding/binary"
+
 	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
@@ -21,10 +23,14 @@ import (
 //     not create or leaves one in flight.
 //   - Tracked queues: the CPUs' pending physical and the vCPUs' pending
 //     virtual interrupts.
-//   - The structural generation (the distributor's gen plus the host's
-//     bumpGen count): creation of VM and shadow Stage-2 tables, guest
-//     Stage-1 tables, the virtio device and its backend, the guest virtio
-//     driver, and guest IRQ handlers.
+//   - The structural generation (structGen): an interned name for the
+//     facts below, equal exactly when they are. Per VM: the Stage-2 root
+//     and VMID, the GIC shadow page, whether the guest touched the virtio
+//     device, and the backend's ring base. Per vCPU: the shadow Stage-2
+//     root. Per guest: the Stage-1 root and the virtio driver's ring base.
+//     The distributor: routes and the interrupts at or above jitINTIDs.
+//     Table roots are identities a replay depends on: VTTBR writes are
+//     harvested as constants.
 //   - Poisoned: physical memory contents and page-table descriptors
 //     (mem.Memory's Tap), the stage-2 TLB (hits become replay-guard probes
 //     via OnLookup; misses and mutations poison), virtual interrupt
@@ -33,11 +39,11 @@ import (
 //     unregistered deferred access page.
 //
 // Deliberately unguarded:
-//   - Table Root is set only at construction and at restore, and restore
-//     resets the engine; table growth writes simulated memory, which
-//     poisons.
-//   - Virtio ring cursors and the guest driver's ring base: every path
-//     that reads or advances them moves ring data through memory.
+//   - Table contents: table growth writes simulated memory, which poisons.
+//   - Guest IRQ handlers: HandleVIRQ poisons before it runs one, so no
+//     super-op replays over a handler.
+//   - Virtio ring cursors: every path that reads or advances them moves
+//     ring data through memory.
 //   - Topology — hypervisor identity, VMs, vCPUs, contexts, distributor
 //     targets — is fixed when InstallJIT runs: CreateVM, attach and
 //     AddTarget run only during assembly.
@@ -74,15 +80,93 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// bumpGen moves the stack's structural generation (kept by the host
-// hypervisor). Callers bump before building a lazily created object, so
-// a recording that builds one is not promoted and every super-op compiled
-// before it bails. Atomic: SMP vCPUs may create objects concurrently.
+// bumpGen moves the stack's structural change counter (kept by the host
+// hypervisor). Callers bump right after changing a structural fact, with
+// no trap in between, so the next read of the generation recomputes it
+// from the objects: a recording that builds an object is not promoted,
+// and super-ops compiled in another structural state bail. Atomic: SMP
+// vCPUs may create objects concurrently while the engine is detached;
+// the recompute runs only at a dispatch, on the goroutine driving the
+// engine.
 func (h *Hypervisor) bumpGen() {
 	for h.Parent != nil {
 		h = h.Parent
 	}
 	h.gen.Add(1)
+}
+
+// structGen is the stack's structural generation (jit.Hooks.Gen). The id
+// names the structural facts exactly: the canonical encoding of the facts
+// (appendStructure) is interned, so two states share an id if and only if
+// their facts are equal, however they were reached. The id is recomputed
+// only when the host's or the distributor's change counter moved.
+type structGen struct {
+	seen [2]uint64
+	id   uint64
+	ids  map[string]uint64
+	key  []byte
+}
+
+// structGen returns the current structural generation.
+func (s *Stack) structGen() uint64 {
+	g := &s.sgen
+	now := [2]uint64{s.Host.gen.Load(), s.M.Dist.Gen()}
+	if g.id != 0 && now == g.seen {
+		return g.id
+	}
+	g.seen = now
+	g.key = s.appendStructure(g.key[:0])
+	id, ok := g.ids[string(g.key)]
+	if !ok {
+		if g.ids == nil {
+			g.ids = make(map[string]uint64)
+		}
+		id = uint64(len(g.ids)) + 1
+		g.ids[string(g.key)] = id
+	}
+	g.id = id
+	return id
+}
+
+// appendStructure appends the canonical encoding of the facts structGen
+// names. Topology is fixed, so the facts are encoded positionally; every
+// optional object is a presence word followed, if present, by its facts.
+func (s *Stack) appendStructure(b []byte) []byte {
+	put := binary.LittleEndian.AppendUint64
+	root := func(b []byte, t *mmu.Tables) []byte {
+		if t == nil {
+			return put(b, 0)
+		}
+		return put(put(b, 1), uint64(t.Root))
+	}
+	for _, h := range s.hyps() {
+		for _, vm := range h.VMs {
+			b = root(b, vm.s2)
+			b = put(put(put(b, uint64(vm.vmid)), uint64(vm.gicShadowOwn)), b2u(vm.virtioOn))
+			if vm.echo == nil {
+				b = put(b, 0)
+			} else {
+				b = put(put(b, 1), uint64(vm.echo.Ring.Base))
+			}
+			for _, v := range vm.VCPUs {
+				b = root(b, v.shadowS2)
+				// A vCPU's guest is created with the VM and never
+				// replaced, so its presence stands for its identity.
+				g := v.Guest
+				if g == nil {
+					b = put(b, 0)
+					continue
+				}
+				b = root(put(b, 1), g.s1)
+				if g.vq == nil {
+					b = put(b, 0)
+				} else {
+					b = put(put(b, 1), uint64(g.vq.Ring.Base))
+				}
+			}
+		}
+	}
+	return s.M.Dist.AppendStructure(b)
 }
 
 // InstallJIT attaches a trace-JIT engine to the stack: every core
@@ -99,7 +183,7 @@ func (s *Stack) InstallJIT() {
 	hooks := jit.Hooks{
 		NumCPUs:      len(m.CPUs),
 		ClockState:   func(cpu int) jit.ClockState { return m.CPUs[cpu].JITClockState() },
-		AdvanceClock: func(cpu int, d jit.ClockDelta) { m.CPUs[cpu].JITAdvanceClock(d) },
+		AdvanceClock: func(d *jit.ClockDelta) { m.CPUs[d.CPU].JITAdvanceClock(d) },
 		TLBProbe: func(vmid uint16, ia uint64) (pa, perm uint64, ok bool) {
 			a, p, ok := tlb.Probe(vmid, mem.Addr(ia))
 			return uint64(a), uint64(p), ok
@@ -107,10 +191,8 @@ func (s *Stack) InstallJIT() {
 		TLBAddHits: tlb.AddHits,
 		TLBGen:     tlb.Gen,
 		ClockGap:   func(cpu int) uint64 { return m.CPUs[cpu].JITClockGap() },
-		// Both counters only grow between engine resets, so their sum
-		// moves exactly when either does.
-		Gen:   func() uint64 { return m.Dist.Gen() + s.Host.gen.Load() },
-		Trace: m.Trace,
+		Gen:        s.structGen,
+		Trace:      m.Trace,
 		Arm: func() {
 			m.Mem.Tap = eng.Poison
 			m.UART.Tap = eng.Poison

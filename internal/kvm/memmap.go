@@ -79,7 +79,6 @@ func (h *Hypervisor) ownToMachine(a mem.Addr) (mem.Addr, bool) {
 // linearly; device windows (virtio) are deliberately left unmapped so
 // accesses trap for emulation.
 func (h *Hypervisor) initVMS2(vm *VM) {
-	h.bumpGen()
 	vm.s2 = mmu.NewTables(h.backing())
 	vm.s2.Map(GuestRAMIPA, vm.RAMBase, vm.RAMSize, mmu.PermRWX)
 	if h.Cfg.GICv2 && h.neveActive(vm) {
@@ -97,6 +96,7 @@ func (h *Hypervisor) initVMS2(vm *VM) {
 	}
 	vm.vmid = uint16(h.alloc.get(hNextVMID) + 1)
 	h.alloc.set(hNextVMID, uint64(vm.vmid))
+	h.bumpGen()
 }
 
 // gichFaultReg resolves a Stage-2 fault in the GICH window to the backing
@@ -140,8 +140,8 @@ func (h *Hypervisor) shadowVTTBR(c *arm.CPU, v *VCPU) uint64 {
 		// Tables live in the hypervisor's own address space: machine
 		// memory for the host, guest physical memory for a deprivileged
 		// hypervisor (whose shadow is collapsed again by its parent).
-		h.bumpGen()
 		v.shadowS2 = mmu.NewTables(h.backing())
+		h.bumpGen()
 	}
 	return mmu.MakeVTTBR(v.shadowS2.Root, shadowVMIDBase+uint16(v.PCPU.ID))
 }
@@ -205,8 +205,8 @@ func (h *Hypervisor) fixShadowS2Fault(c *arm.CPU, v *VCPU, e *arm.Exception) boo
 		return false
 	}
 	if v.shadowS2 == nil {
-		h.bumpGen()
 		v.shadowS2 = mmu.NewTables(h.backing())
+		h.bumpGen()
 	}
 	v.shadowS2.Map(e.FaultIPA.PageBase(), ownPA.PageBase(), mem.PageSize, res.Perm)
 	h.tlbFlushPage(c, shadowVMIDBase+uint16(v.PCPU.ID), e.FaultIPA.PageBase())

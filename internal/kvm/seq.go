@@ -283,15 +283,9 @@ func (h *Hypervisor) vmCtxSeq() *arm.CtxSeq {
 // non-completing unwind makes the aborted attempt cost nothing, so
 // attribution totals match a run that never diverged.
 func runCtxSeq(c *arm.CPU, fn func()) {
-	m := c.MarkClock()
-	done := false
-	defer func() {
-		if !done {
-			c.RewindClock(m)
-		}
-	}()
+	defer c.UnwindClockMark(c.PushClockMark())
 	fn()
-	done = true
+	c.PopClockMark()
 }
 
 // saveVMCtx saves the VM's EL1 context into the hypervisor's vcpu store.

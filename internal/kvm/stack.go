@@ -25,8 +25,10 @@ type Stack struct {
 	GuestHyp2 *Hypervisor
 	L3VM      *VM
 
-	// jit is the trace-JIT engine, when installed (InstallJIT).
-	jit *jit.Engine
+	// jit is the trace-JIT engine, when installed (InstallJIT); sgen is
+	// its structural generation.
+	jit  *jit.Engine
+	sgen structGen
 
 	// smpBarrierWait is the wall clock the coordinator spent waiting at
 	// epoch-end barriers during the last SMP run. Wall time, not virtual

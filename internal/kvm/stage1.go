@@ -65,8 +65,8 @@ func (g *GuestCtx) EnableStage1() {
 		return
 	}
 	b := &stage1Backing{g: g}
-	g.VCPU.VM.Hyp.bumpGen()
 	g.s1 = mmu.NewTables(b)
+	g.VCPU.VM.Hyp.bumpGen()
 	g.CPU.MSR(ttbr0ForGuest, uint64(g.s1.Root))
 }
 

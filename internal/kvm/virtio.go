@@ -74,8 +74,8 @@ func (m hypRingMem) Write64(a mem.Addr, v uint64) {
 func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 	vm := v.VM
 	if !vm.virtioOn {
-		h.bumpGen()
 		vm.virtioOn = true
+		h.bumpGen()
 	}
 	dev := &vm.vio
 	off := uint64(e.FaultIPA-VirtioBase) - VirtioRegOff
@@ -105,11 +105,11 @@ func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 		dev.set(vioQueueNum, e.Val)
 	case virtio.RegQueuePFN:
 		dev.set(vioQueuePFN, e.Val)
-		h.bumpGen()
 		vm.echo = &virtio.Echo{Ring: virtio.Ring{
 			Mem:  hypRingMem{h: h, v: v, c: c},
 			Base: mem.Addr(e.Val << mem.PageShift),
 		}}
+		h.bumpGen()
 	case virtio.RegStatus:
 		dev.set(vioStatus, e.Val)
 	case virtio.RegQueueNotify:
@@ -128,8 +128,8 @@ func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 			// device (NEEDS_RESET, no completion) and keep running; the
 			// driver observes the missing used entry.
 			dev.set(vioStatus, dev.get(vioStatus)|virtioStatusNeedsReset)
-			h.bumpGen()
 			vm.echo = nil
+			h.bumpGen()
 			return 0
 		}
 		if n > 0 {
@@ -195,8 +195,8 @@ func (g *GuestCtx) VirtioInit() error {
 	g.CPU.GuestWrite(base+virtio.RegQueueNum, 4, virtio.QueueSize)
 	g.CPU.GuestWrite(base+virtio.RegQueuePFN, 4, uint64(virtioRingIPA)>>mem.PageShift)
 	g.CPU.GuestWrite(base+virtio.RegStatus, 4, 0xf) // DRIVER_OK
-	g.VCPU.VM.Hyp.bumpGen()
 	g.vq = &virtio.Driver{Ring: virtio.Ring{Mem: guestRingMem{g}, Base: virtioRingIPA}}
+	g.VCPU.VM.Hyp.bumpGen()
 	return nil
 }
 

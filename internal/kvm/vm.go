@@ -224,7 +224,6 @@ func (g *GuestCtx) SendIPI(target, intid int) {
 // OnIRQ registers the guest kernel's interrupt handler.
 func (g *GuestCtx) OnIRQ(fn func(intid int)) {
 	g.irqHandler = fn
-	g.VCPU.VM.Hyp.bumpGen()
 }
 
 // HandleVIRQ implements arm.VIRQSink: the guest acknowledges the interrupt
