@@ -88,7 +88,10 @@ smp-bench-smoke:
 # Trace-JIT correctness smoke: the figure 2 measured table and the two
 # three-level recursive stacks' microbenchmarks (deterministic, no wall
 # times) must be byte-identical with super-ops replaying (-jit=on) and
-# every trap interpreted (-jit=off). Any diff is a replay-path bug.
+# every trap interpreted (-jit=off). Any diff is a replay-path bug. The
+# two guarded runs keep the JIT on under a watchdog budget that trips:
+# their whole output (stdout, stderr with the SimError and its recent
+# traps, the exit status; minus fleet's wall-time line) must match too.
 jit-equiv-smoke:
 	@for run in "fig2" "run -config recursive-v8.3" "run -config recursive-neve"; do \
 		$(GO) run ./cmd/nevesim -jit=on $$run > .jit-on.tmp || exit 1; \
@@ -100,6 +103,23 @@ jit-equiv-smoke:
 			echo "$$run differs jit-on vs jit-off"; exit 1; \
 		fi; \
 	done; rm -f .jit-on.tmp .jit-off.tmp
+	@$(GO) build -o .jit-nevesim.tmp ./cmd/nevesim || exit 1; \
+	for run in "run -config v8.3 -max-traps 100" \
+		"fleet -workers 1 -configs v8.3,v8.3-vhe,neve -max-traps 60000"; do \
+		for mode in on off; do \
+			./.jit-nevesim.tmp -jit=$$mode $$run > .jit-raw.tmp 2>&1; \
+			echo "exit $$?" >> .jit-raw.tmp; \
+			grep -v '^fleet: .* cells over .* ms$$' .jit-raw.tmp > .jit-$$mode.tmp; \
+		done; \
+		if ! grep -q trap-storm .jit-on.tmp; then \
+			echo "$$run: the watchdog did not trip"; rc=1; \
+		elif diff .jit-on.tmp .jit-off.tmp; then \
+			echo "$$run byte-identical jit-on vs jit-off"; rc=0; \
+		else \
+			echo "$$run differs jit-on vs jit-off"; rc=1; \
+		fi; \
+		[ $$rc = 0 ] || break; \
+	done; rm -f .jit-nevesim.tmp .jit-raw.tmp .jit-on.tmp .jit-off.tmp; exit $$rc
 
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the trap hot path, the trace collector, and the

@@ -65,16 +65,19 @@ type CPU struct {
 	Bus PhysBus
 	// S2 is the stage-2 MMU context.
 	S2 Stage2
-	// HookTrap, when non-nil, observes every trap after it is recorded
-	// and before the EL2 vector runs; the fault layer hangs its injector
-	// and trap-storm watchdog here. Nil in all normal runs, so the hot
-	// path pays only a nil check. A hook may panic to abort the run (the
-	// watchdog does); the platform's recovery boundary converts that into
-	// a typed error.
+	// Budget, when non-nil, is the watchdog every interpreted trap and
+	// every Tick charges (after the trap is recorded and before the EL2
+	// vector runs; before a Tick's interrupt delivery). It panics to
+	// abort the run once a budget is exceeded; the platform's recovery
+	// boundary converts that into a typed error. The trace-JIT charges
+	// the traps and steps of each replayed super-op to the same budget,
+	// so the engine stays on under it.
+	Budget jit.Budget
+	// HookTrap, when non-nil, observes every trap after the budget
+	// charge and before the EL2 vector runs; the fault injector hangs
+	// here. It sees every trap, so a core with a hook runs interpreted.
+	// Nil in all normal runs, so the hot path pays only a nil check.
 	HookTrap func(c *CPU, e *Exception)
-	// HookTick, when non-nil, observes every Tick before interrupt
-	// delivery; the step-budget watchdog hangs here.
-	HookTick func(c *CPU, n uint64)
 
 	// st holds the core's mode words (the st* indices in jit.go). Every
 	// access reports to stTap, so the trace-JIT guards them like regs.
@@ -541,8 +544,8 @@ func (c *CPU) WFI() {
 // are delivered to the guest here.
 func (c *CPU) Tick(n uint64) {
 	c.cycles += n * c.Cost.Insn
-	if c.HookTick != nil {
-		c.HookTick(c, n)
+	if c.Budget != nil {
+		c.Budget.OnTick(n)
 	}
 	c.checkIRQ()
 	c.deliverVIRQ()
@@ -611,6 +614,9 @@ func (c *CPU) trap(e *Exception) uint64 {
 		ev.Cycle = c.cycles
 		c.Trace.Trap(ev)
 	}
+	if c.Budget != nil {
+		c.Budget.OnTrap()
+	}
 	if c.HookTrap != nil {
 		c.HookTrap(c, e)
 	}
@@ -620,7 +626,7 @@ func (c *CPU) trap(e *Exception) uint64 {
 	c.set(stEL, uint64(EL2))
 	c.set(stLevel, 0)
 	var v uint64
-	if j := c.jit; j != nil && c.HookTrap == nil && c.HookTick == nil {
+	if j := c.jit; j != nil && c.HookTrap == nil {
 		var exc [jit.ExcWords]uint64
 		PackExc(e, &exc)
 		rv, st := j.Dispatch(c.ID, &exc)

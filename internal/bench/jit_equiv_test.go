@@ -89,3 +89,45 @@ func TestJITWarmOrderIndependence(t *testing.T) {
 		t.Fatalf("third pass hit ratio %.4f, want >= 0.98", ratio)
 	}
 }
+
+// TestJITWatchdogFaultParity: the trace-JIT stays on under watchdog
+// budgets, and a warm CellRunner's rows — faults included — must equal the
+// interpreted rows. A 60,000-trap budget faults several Figure 2 cells
+// mid-run on the five ARM configurations; two passes over one runner put
+// retained super-ops under every cell, faulted ones included.
+func TestJITWatchdogFaultParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three guarded Figure 2 sweeps")
+	}
+	h := Harness{Parallelism: 1, Configs: []ConfigID{ARMVM, ARMNested, ARMNestedVHE, NEVENested, NEVENestedVHE}, MaxTraps: 60_000}
+	off := h
+	off.JITOff = true
+	want := off.RunFigure2()
+	faulted := 0
+	for _, r := range want {
+		if r.Fault != nil {
+			faulted++
+		}
+	}
+	if faulted == 0 || faulted == len(want) {
+		t.Fatalf("%d of %d cells faulted; the budget must fault some cells and pass others", faulted, len(want))
+	}
+	runner := h.NewCellRunner()
+	var js trace.JITStats
+	for pass := 1; pass <= 2; pass++ {
+		for _, ref := range want {
+			got, err := runner.App(ref.Config, ref.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Sim(), ref.Sim()) {
+				t.Fatalf("pass %d: %s/%s diverges from jit-off:\n got %+v fault %v\nwant %+v fault %v",
+					pass, ref.Workload, ref.Config, got.Sim(), got.Fault, ref.Sim(), ref.Fault)
+			}
+			js = js.Add(got.JIT)
+		}
+	}
+	if js.Hits == 0 {
+		t.Fatalf("guarded runner replayed nothing: %+v", js)
+	}
+}

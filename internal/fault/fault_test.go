@@ -107,6 +107,45 @@ func TestWatchdogStepBudget(t *testing.T) {
 	t.Fatal("step overrun did not abort")
 }
 
+// TestWatchdogAdmit pins the replay side of the budgets: Admit charges a
+// batch of traps and steps only if all of it fits, exact fits included,
+// and a refused batch charges nothing.
+func TestWatchdogAdmit(t *testing.T) {
+	w := &Watchdog{MaxTraps: 10, MaxSteps: 100}
+	w.OnTrap()
+	w.OnTick(10)
+	for _, tc := range []struct {
+		traps, steps uint64
+		ok           bool
+	}{
+		{10, 90, false}, // one trap too many
+		{9, 91, false},  // one step too many
+		{9, 90, true},   // exact fit
+		{0, 0, true},
+		{1, 0, false},
+		{0, 1, false},
+	} {
+		before := *w
+		if got := w.Admit(tc.traps, tc.steps); got != tc.ok {
+			t.Fatalf("Admit(%d, %d) at %d/%d = %v, want %v", tc.traps, tc.steps, w.traps, w.steps, got, tc.ok)
+		}
+		want := before
+		if tc.ok {
+			want.traps += tc.traps
+			want.steps += tc.steps
+		}
+		if *w != want {
+			t.Fatalf("Admit(%d, %d) left %+v, want %+v", tc.traps, tc.steps, *w, want)
+		}
+	}
+	if tr, st := w.Used(); tr != 10 || st != 100 {
+		t.Fatalf("Used() = %d, %d; want 10, 100", tr, st)
+	}
+	if u := (&Watchdog{}); !u.Admit(1<<40, 1<<40) {
+		t.Fatal("an unlimited watchdog refused a batch")
+	}
+}
+
 func TestWatchdogUnlimitedNeverFires(t *testing.T) {
 	w := &Watchdog{}
 	for i := 0; i < 10000; i++ {

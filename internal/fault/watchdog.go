@@ -4,10 +4,12 @@ import "fmt"
 
 // Watchdog aborts runs that livelock: a trap storm (the same fault
 // re-taken forever, the exit-multiplication pathology run away) or a
-// step-budget overrun. Attach OnTrap/OnTick to the CPU hooks; when a
-// budget is exceeded the watchdog panics with a *SimError, which the
-// platform's recovery boundary returns — annotated with CPU state and
-// recent trap history — instead of hanging the process.
+// step-budget overrun. It is the CPU models' budget (arm.CPU.Budget, or
+// OnTrap/OnTick in the x86 hooks): when a budget is exceeded the watchdog
+// panics with a *SimError, which the platform's recovery boundary returns
+// — annotated with CPU state and recent trap history — instead of hanging
+// the process. The trace-JIT charges replayed super-ops through Admit, so
+// a budget does not turn the engine off.
 //
 // Budgets are cumulative across the platform's lifetime, matching how the
 // experiments run one measured workload per built stack.
@@ -72,4 +74,21 @@ func (w *Watchdog) OnTick(n uint64) {
 			Msg:   fmt.Sprintf("step budget %d exceeded: the guest is not making privileged progress", w.MaxSteps),
 		})
 	}
+}
+
+// Used returns the traps and guest instructions observed so far
+// (jit.Budget).
+func (w *Watchdog) Used() (traps, steps uint64) { return w.traps, w.steps }
+
+// Admit counts traps and guest instructions only if neither budget would
+// be exceeded, and reports whether it did (jit.Budget). A replayed
+// super-op it refuses runs interpreted, and OnTrap or OnTick trips on the
+// same trap or Tick as without the trace-JIT.
+func (w *Watchdog) Admit(traps, steps uint64) bool {
+	if w.MaxTraps > 0 && w.traps+traps > w.MaxTraps || w.MaxSteps > 0 && w.steps+steps > w.MaxSteps {
+		return false
+	}
+	w.traps += traps
+	w.steps += steps
+	return true
 }

@@ -31,6 +31,17 @@
 // reported as what it is at the storage level: a read of the source, which
 // guards the value unless the recording wrote that word first, and a write
 // of the destination, whose final value promotion harvests as a constant.
+//
+// Observers stay on with the engine. A watchdog (Budget) is charged by
+// replay as by the interpreter: each super-op carries the traps and guest
+// steps its recording charged, replay admits an op only if the budget has
+// room for all of them, and an op it cannot cover runs interpreted (a
+// bailout), so the budget trips on exactly the trap it would have tripped
+// on without the engine. When the trace collector keeps a recent-event
+// ring, each super-op also carries the tail of the trap events its
+// recording pushed (at most the ring's capacity, cycles relative to the
+// dispatching core's counter), interned across ops, and replay pushes it
+// rebased on the live counter, so the ring reads the same either way.
 package jit
 
 import (
@@ -134,6 +145,21 @@ type Hooks struct {
 	// devices, and the TLB for the duration of a recording.
 	Arm    func()
 	Disarm func()
+}
+
+// Budget is a trap-and-step watchdog as the engine and the CPU models see
+// it. The interpreter reports every trap and every Tick's guest steps
+// through OnTrap and OnTick, which abort the run (panic) once a budget is
+// exceeded; replay charges a whole super-op through Admit, which never
+// aborts.
+type Budget interface {
+	OnTrap()
+	OnTick(steps uint64)
+	// Used returns the traps and steps charged so far.
+	Used() (traps, steps uint64)
+	// Admit charges traps and steps only if the budget has room for all
+	// of them, and reports whether it did.
+	Admit(traps, steps uint64) bool
 }
 
 // FileID names a register file registered for read/write-set tracking;
@@ -360,8 +386,24 @@ type superOp struct {
 	tlbGen uint64
 	clocks []ClockDelta
 	tdelta *trace.CounterDelta
+	obs    *observed
 	retVal uint64
 	next   *superOp
+}
+
+// observed is what a run's observers see of a super-op besides its state
+// delta: the nested traps and Tick steps its recording charged the
+// watchdog (the dispatched trap itself is charged before dispatch), and
+// the n trap events it pushed into the recent ring, of which tail keeps
+// the last (at most the ring's capacity), oldest first, each Cycle
+// relative to the dispatching core's counter at dispatch. An op whose
+// recording charged and pushed nothing has none; the others share
+// interned copies.
+type observed struct {
+	traps uint64
+	steps uint64
+	n     uint64
+	tail  []trace.Event
 }
 
 // entry is the recorder's per-(cpu, cause) bookkeeping.
@@ -377,8 +419,11 @@ type entry struct {
 // keeps.
 type recording struct {
 	exc      [ExcWords]uint64
+	cpu      int
 	ent      *entry
 	gen      uint64
+	traps    uint64
+	steps    uint64
 	freads   []fileWord
 	fwrites  []fileWord
 	qreads   []queueVal
@@ -417,6 +462,12 @@ type Engine struct {
 	qseen  []uint8
 	// marks is scratch for the recording's starting clocks.
 	marks []ClockState
+	// budget is the attached watchdog (nil for none).
+	budget Budget
+	// obs interns observed effects by a hash of their contents; evs is
+	// promotion scratch.
+	obs map[uint64][]*observed
+	evs []trace.Event
 }
 
 // New returns an engine over the given hooks; every hook is required.
@@ -425,9 +476,14 @@ func New(hooks Hooks) *Engine {
 		hooks:   hooks,
 		entries: make(map[uint64]*entry),
 		shapes:  make(map[uint64][]*opShape),
+		obs:     make(map[uint64][]*observed),
 		marks:   make([]ClockState, hooks.NumCPUs),
 	}
 }
+
+// SetBudget attaches a watchdog (nil detaches it). Attach it before the
+// first dispatch: a super-op recorded without one carries no counts.
+func (e *Engine) SetBudget(b Budget) { e.budget = b }
 
 // hashExc is FNV-1a over the cause words and the dispatching core.
 func hashExc(cpu int, exc *[ExcWords]uint64) uint64 {
@@ -443,7 +499,12 @@ func hashExc(cpu int, exc *[ExcWords]uint64) uint64 {
 // call. While a recording is active, nested dispatches miss immediately so
 // their effects land inside the outer recording.
 func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
-	if e.rec != nil {
+	if rec := e.rec; rec != nil {
+		if cpu != rec.cpu && e.hooks.Trace.RecentCap() > 0 {
+			// The recent-event tail is rebased on the dispatching core's
+			// counter, which says nothing about another core's cycles.
+			rec.poisoned = true
+		}
 		e.stats.Misses++
 		return 0, Miss
 	}
@@ -464,7 +525,7 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 			continue
 		}
 		matched = true
-		if v, ok := e.tryReplay(op, gen); ok {
+		if v, ok := e.tryReplay(cpu, op, gen); ok {
 			if prev != nil {
 				// Move-to-front: the variant that matches the live state
 				// tends to keep matching, and every variant ahead of it
@@ -487,7 +548,7 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 	}
 	ent.count++
 	if ent.count >= defaultThreshold {
-		e.beginRecord(exc, ent)
+		e.beginRecord(cpu, exc, ent)
 		return 0, Record
 	}
 	return 0, Miss
@@ -497,8 +558,9 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 // commits the recorded state delta. Validation is ordered cheap-first —
 // and, between chain variants of one cause, most-discriminating-first:
 // the tracked-file read set is where world-switch variants differ — and
-// mutates nothing, so a bailout leaves the machine untouched.
-func (e *Engine) tryReplay(op *superOp, gen uint64) (uint64, bool) {
+// mutates nothing, so a bailout leaves the machine untouched. The budget
+// admission comes last, because admitting charges it.
+func (e *Engine) tryReplay(cpu int, op *superOp, gen uint64) (uint64, bool) {
 	if gen != op.gen {
 		return 0, false
 	}
@@ -533,7 +595,16 @@ func (e *Engine) tryReplay(op *superOp, gen uint64) (uint64, bool) {
 			op.tlbGen = gen
 		}
 	}
+	o := op.obs
+	if o != nil && e.budget != nil && !e.budget.Admit(o.traps, o.steps) {
+		// The budget trips inside this op: interpreted, it trips on the
+		// same trap with the same diagnostic.
+		return 0, false
+	}
 	// Commit: from here on divergence is a bug, not a bailout.
+	if o != nil && o.n > 0 {
+		e.hooks.Trace.PushRecent(o.tail, e.hooks.ClockState(cpu).Cycles, o.n)
+	}
 	wv := op.wvals[:len(sh.writes)]
 	for i, p := range sh.writes {
 		*p = wv[i]
@@ -555,12 +626,15 @@ func (e *Engine) tryReplay(op *superOp, gen uint64) (uint64, bool) {
 }
 
 // beginRecord starts capturing the in-flight trap: it snapshots the
-// structural generation, clocks, and trace counters, and arms the poison
-// taps.
-func (e *Engine) beginRecord(exc *[ExcWords]uint64, ent *entry) {
+// structural generation, clocks, budget, and trace counters, and arms the
+// poison taps.
+func (e *Engine) beginRecord(cpu int, exc *[ExcWords]uint64, ent *entry) {
 	rec := &e.scratch
-	*rec = recording{exc: *exc, ent: ent, gen: e.hooks.Gen(), freads: rec.freads[:0],
+	*rec = recording{exc: *exc, cpu: cpu, ent: ent, gen: e.hooks.Gen(), freads: rec.freads[:0],
 		fwrites: rec.fwrites[:0], qreads: rec.qreads[:0], qwrites: rec.qwrites[:0], probes: rec.probes[:0]}
+	if e.budget != nil {
+		rec.traps, rec.steps = e.budget.Used()
+	}
 	clear(e.rdSeen)
 	clear(e.wrSeen)
 	clear(e.qseen)
@@ -618,6 +692,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 		rec.ent.poison++
 		return
 	}
+	obs := e.compileObserved(rec)
 	qwrites := make([]queueVal, len(rec.qwrites))
 	for i, id := range rec.qwrites {
 		qwrites[i] = queueVal{q: e.queues[id], vals: slices.Clone(*e.queues[id])}
@@ -633,6 +708,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 		qwrites: qwrites,
 		probes:  slices.Clone(rec.probes),
 		clocks:  clocks,
+		obs:     obs,
 		retVal:  retVal,
 		next:    rec.ent.ops,
 		// A promoted recording saw no TLB mutation (mutation poisons), so
@@ -701,6 +777,42 @@ func (e *Engine) compileFiles(rec *recording) (*opShape, []uint64, []uint64) {
 	wvals := make([]uint64, len(vals))
 	copy(wvals, vals)
 	return shape, rvals, wvals
+}
+
+// compileObserved returns the interned observed effects of the recording
+// that just ended — the budget it charged and the recent-ring tail it
+// pushed, cycles made relative to the dispatching core's counter at
+// dispatch — or nil when there are none. The contents are hashed as they
+// are gathered, so finding an existing copy costs one map lookup and an
+// exact compare.
+func (e *Engine) compileObserved(rec *recording) *observed {
+	var o observed
+	if e.budget != nil {
+		o.traps, o.steps = e.budget.Used()
+		o.traps, o.steps = o.traps-rec.traps, o.steps-rec.steps
+	}
+	evs, n := e.hooks.Trace.LogTail(e.evs[:0])
+	e.evs, o.n = evs, n
+	if o.traps == 0 && o.steps == 0 && n == 0 {
+		return nil
+	}
+	mix := func(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+	h := mix(mix(mix(14695981039346656037, o.traps), o.steps), n)
+	base := e.marks[rec.cpu].Cycles
+	for i := range evs {
+		ev := &evs[i]
+		ev.Cycle -= base
+		h = mix(mix(h, uint64(ev.Key())), ev.Addr)
+		h = mix(mix(h, uint64(ev.FromLevel)<<32^uint64(ev.ToLevel)), ev.Cycle)
+	}
+	for _, c := range e.obs[h] {
+		if c.traps == o.traps && c.steps == o.steps && c.n == n && slices.Equal(c.tail, evs) {
+			return c
+		}
+	}
+	o.tail = slices.Clone(evs)
+	e.obs[h] = append(e.obs[h], &o)
+	return &o
 }
 
 // flagsClear reports whether the recording observed every in-flight flag

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/nevesim/neve/internal/trace"
@@ -500,7 +501,20 @@ func TestStatsExclusive(t *testing.T) {
 // queue guard and refill, TLB hit back-fill, clock advance, and a counter
 // delta — performs no heap allocation.
 func TestReplayHitNoAlloc(t *testing.T) {
+	replayHitNoAlloc(t, newFake())
+}
+
+// TestReplayHitNoAllocObserved: a watchdog budget and the recent-event
+// ring keep the replay hit path allocation-free.
+func TestReplayHitNoAllocObserved(t *testing.T) {
 	m := newFake()
+	m.eng.SetBudget(&fakeBudget{})
+	m.col.EnableRecent(4)
+	replayHitNoAlloc(t, m)
+}
+
+func replayHitNoAlloc(t *testing.T, m *fakeMachine) {
+	t.Helper()
 	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
 	m.file[5] = 11
 	handler := func() uint64 {
@@ -666,5 +680,169 @@ func TestFlagsFile(t *testing.T) {
 	m.promote(t, 23, func() uint64 { flag[0] = 1; consume(); return 0 })
 	if _, ops := m.eng.Entries(); ops != 1 {
 		t.Fatalf("a recording that left or consumed a foreign record was promoted")
+	}
+}
+
+// fakeBudget is a watchdog: OnTrap and OnTick panic past their budgets
+// (0 = unlimited), as fault.Watchdog does.
+type fakeBudget struct {
+	maxTraps, maxSteps uint64
+	traps, steps       uint64
+}
+
+func (b *fakeBudget) OnTrap() {
+	if b.traps++; b.maxTraps > 0 && b.traps > b.maxTraps {
+		panic("trap budget")
+	}
+}
+
+func (b *fakeBudget) OnTick(n uint64) {
+	if b.steps += n; b.maxSteps > 0 && b.steps > b.maxSteps {
+		panic("step budget")
+	}
+}
+
+func (b *fakeBudget) Used() (uint64, uint64) { return b.traps, b.steps }
+
+func (b *fakeBudget) Admit(traps, steps uint64) bool {
+	if b.maxTraps > 0 && b.traps+traps > b.maxTraps || b.maxSteps > 0 && b.steps+steps > b.maxSteps {
+		return false
+	}
+	b.traps += traps
+	b.steps += steps
+	return true
+}
+
+// TestReplayChargesBudget pins budget admission: a super-op carries the
+// traps and steps its recording charged, replay charges exactly those,
+// an op the budget has exact room for replays, and one trap or one step
+// less room makes it a bailout whose interpreted run trips the budget.
+func TestReplayChargesBudget(t *testing.T) {
+	m := newFake()
+	b := &fakeBudget{}
+	m.eng.SetBudget(b)
+	handler := func() uint64 {
+		for i := 0; i < 3; i++ {
+			b.OnTrap() // nested traps
+		}
+		b.OnTick(40)
+		m.write(0, 9)
+		return 1
+	}
+	m.promote(t, 30, handler)
+	tr, st := b.Used()
+	if _, s := m.trap(30, handler); s != Hit {
+		t.Fatalf("replay did not hit")
+	}
+	if gt, gs := b.Used(); gt-tr != 3 || gs-st != 40 {
+		t.Fatalf("replay charged %d traps, %d steps; want 3, 40", gt-tr, gs-st)
+	}
+	wantStats(t, m.eng, 1, defaultThreshold, 0)
+
+	for _, tc := range []struct {
+		name         string
+		trapRoom     uint64
+		stepRoom     uint64
+		hit          bool
+		tripsOnSteps bool
+	}{
+		{"exact", 3, 40, true, false},
+		{"one-trap-short", 2, 40, false, false},
+		{"one-step-short", 3, 39, false, true},
+	} {
+		b.maxTraps, b.maxSteps = b.traps+tc.trapRoom, b.steps+tc.stepRoom
+		pre := *b
+		var ew [ExcWords]uint64
+		ew[0] = 30
+		_, s := m.eng.Dispatch(0, &ew)
+		if got := s == Hit; got != tc.hit {
+			t.Fatalf("%s: hit = %v, want %v", tc.name, got, tc.hit)
+		}
+		if !tc.hit {
+			if *b != pre {
+				t.Fatalf("%s: a refused op charged the budget: %+v -> %+v", tc.name, pre, *b)
+			}
+			func() {
+				defer func() {
+					want := "trap budget"
+					if tc.tripsOnSteps {
+						want = "step budget"
+					}
+					if v := recover(); v != want {
+						t.Fatalf("%s: interpreted run tripped %v, want %q", tc.name, v, want)
+					}
+				}()
+				handler()
+			}()
+		}
+		b.maxTraps, b.maxSteps = 0, 0
+	}
+}
+
+// TestRecentTail pins the recent-ring replay: a super-op carries the last
+// RecentCap() events its recording pushed, with cycles relative to the
+// dispatching core's counter, and replay leaves the ring exactly as the
+// interpreted sequence would at the live counter. Ops that trap the same
+// way share one interned tail.
+func TestRecentTail(t *testing.T) {
+	m := newFake()
+	m.col.EnableRecent(4)
+	handler := func() uint64 {
+		for i := 0; i < 6; i++ {
+			m.clock.Cycles += 10
+			m.col.Trap(trace.Event{Reason: trace.ReasonSysReg, Aux: uint16(i), Cycle: m.clock.Cycles})
+		}
+		return 0
+	}
+	m.promote(t, 40, handler)
+	m.promote(t, 41, handler)
+	var obs []*observed
+	for _, ent := range m.eng.entries {
+		obs = append(obs, ent.ops.obs)
+	}
+	if len(obs) != 2 || obs[0] == nil || obs[0] != obs[1] {
+		t.Fatalf("ops do not share one interned tail: %v", obs)
+	}
+	if o := obs[0]; len(o.tail) != 4 || o.n != 6 || o.tail[0].Aux != 2 || o.tail[0].Cycle != 30 {
+		t.Fatalf("tail = %+v, want the last 4 of 6 events, the first at +30 cycles", *o)
+	}
+
+	m.clock.Cycles += 12345
+	if _, st := m.trap(40, handler); st != Hit {
+		t.Fatalf("replay did not hit")
+	}
+	got := m.col.Recent()
+
+	twin := newFake()
+	twin.col.EnableRecent(4)
+	twin.clock = m.clock
+	twin.clock.Cycles -= 60 // the replay advanced m's clock
+	handlerTwin := func() {
+		for i := 0; i < 6; i++ {
+			twin.clock.Cycles += 10
+			twin.col.Trap(trace.Event{Reason: trace.ReasonSysReg, Aux: uint16(i), Cycle: twin.clock.Cycles})
+		}
+	}
+	handlerTwin()
+	if want := twin.col.Recent(); !slices.Equal(got, want) {
+		t.Fatalf("replayed ring = %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRecentTailOtherCorePoisons: with the recent ring on, a recording
+// during which another core traps is not promoted — its tail could not be
+// rebased on the dispatching core's counter.
+func TestRecentTailOtherCorePoisons(t *testing.T) {
+	m := newFake()
+	m.col.EnableRecent(4)
+	handler := func() uint64 {
+		var ew [ExcWords]uint64
+		ew[0] = 51
+		m.eng.Dispatch(1, &ew) // a nested trap on core 1
+		return 0
+	}
+	m.promote(t, 50, handler)
+	if _, ops := m.eng.Entries(); ops != 0 {
+		t.Fatalf("cross-core recording promoted with the ring on")
 	}
 }

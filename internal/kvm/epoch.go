@@ -316,7 +316,7 @@ func (s *Stack) parallelSafe(n int) bool {
 		return false
 	}
 	for _, c := range s.M.CPUs[:n] {
-		if c.HookTrap != nil || c.HookTick != nil {
+		if c.HookTrap != nil || c.Budget != nil {
 			// Fault injectors and watchdogs observe a global trap stream.
 			return false
 		}

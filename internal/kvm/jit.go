@@ -48,8 +48,9 @@ import (
 //     targets — is fixed when InstallJIT runs: CreateVM, attach and
 //     AddTarget run only during assembly.
 //   - The trace collector's mode: platform.Build installs the engine only
-//     without trace recording, fault plans or watchdogs, and SMP shards,
-//     which toggle counting, never dispatch.
+//     without trace recording or fault plans, and SMP shards, which toggle
+//     counting, never dispatch. The recent-event ring a watchdog enables
+//     is replayed (each op carries its tail), not guarded.
 //   - Cycle accounting: expressed as ClockDeltas.
 
 // words is a small tracked file of model bookkeeping words: every access
@@ -209,6 +210,7 @@ func (s *Stack) InstallJIT() {
 		},
 	}
 	eng = jit.New(hooks)
+	eng.SetBudget(m.CPUs[0].Budget)
 	file := func(f []uint64) *jit.FileTap { return eng.Tap(eng.RegisterFile(f)) }
 	flags := func(f []uint64) *jit.FileTap { return eng.Tap(eng.RegisterFlags(f)) }
 	for _, h := range s.hyps() {
@@ -237,6 +239,18 @@ func (s *Stack) InstallJIT() {
 		c.SetJIT(eng)
 	}
 	s.jit = eng
+}
+
+// SetBudget attaches a watchdog to every core and to the trace-JIT engine,
+// installed or not: interpreted traps and Ticks charge it, and so do
+// replayed super-ops. Attach it before the stack runs.
+func (s *Stack) SetBudget(b jit.Budget) {
+	for _, c := range s.M.CPUs {
+		c.Budget = b
+	}
+	if s.jit != nil {
+		s.jit.SetBudget(b)
+	}
 }
 
 // JITStats returns the dispatch counters (zero when no engine is

@@ -143,12 +143,12 @@ func buildARM(spec Spec) *armPlatform {
 		s = kvm.NewRecursiveStack(opts)
 	}
 	s.M.Dist.Route(NICSPI, 0)
-	// The trace-JIT layer is on by default but only where it cannot be
-	// observed: trap recording, fault injection, and watchdog budgets all
-	// need to see every interpreted trap, so those configurations run
-	// without the engine.
-	if !spec.JITOff && !spec.RecordTrace && !spec.Faults.Active() &&
-		spec.MaxTraps == 0 && spec.MaxSteps == 0 {
+	// The trace-JIT layer is on by default, except where replay would
+	// change what is observed: trap recording keeps every event and the
+	// fault injector perturbs the machine at individual traps, so those
+	// configurations run without the engine. Watchdog budgets keep it:
+	// replay charges them (installFaults).
+	if !spec.JITOff && !spec.RecordTrace && !spec.Faults.Active() {
 		s.InstallJIT()
 	}
 	p := &armPlatform{spec: spec, s: s}

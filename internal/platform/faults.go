@@ -13,12 +13,13 @@ import (
 )
 
 // This file threads the fault layer (internal/fault) through the built
-// platforms: the spec's Faults plan and MaxTraps/MaxSteps budgets become
-// CPU trap/tick hooks, and Protect/RunGuestErr form the recovery boundary
-// that converts internal panics into annotated *fault.SimError values.
-// With the spec's fault fields zero (every registry entry), no hooks are
-// installed and the hot path is untouched — the paper goldens cannot
-// move.
+// platforms: the spec's Faults plan becomes a CPU trap hook, its
+// MaxTraps/MaxSteps budgets a watchdog the CPUs (and, on ARM, the
+// trace-JIT's replays) charge, and Protect/RunGuestErr form the recovery
+// boundary that converts internal panics into annotated *fault.SimError
+// values. With the spec's fault fields zero (every registry entry),
+// nothing is installed and the hot path is untouched — the paper goldens
+// cannot move.
 
 // recentDepth is how many trailing trap events a SimError carries.
 const recentDepth = 16
@@ -38,14 +39,14 @@ func (p *armPlatform) installFaults() {
 	if plan.Active() {
 		p.inj = fault.NewInjector(plan, &armEnv{s: p.s})
 	}
-	wd, inj := p.wd, p.inj
-	for _, c := range p.s.M.CPUs {
-		c.HookTrap = func(*arm.CPU, *arm.Exception) {
-			wd.OnTrap() // nil-safe
-			inj.OnTrap()
-		}
-		if wd != nil {
-			c.HookTick = func(_ *arm.CPU, n uint64) { wd.OnTick(n) }
+	if p.wd != nil {
+		// The watchdog is a budget the trace-JIT's replays charge too, so
+		// it leaves the engine on.
+		p.s.SetBudget(p.wd)
+	}
+	if inj := p.inj; inj != nil {
+		for _, c := range p.s.M.CPUs {
+			c.HookTrap = func(*arm.CPU, *arm.Exception) { inj.OnTrap() }
 		}
 	}
 }

@@ -22,7 +22,7 @@ func TestFaultsOffByDefault(t *testing.T) {
 		}
 		if s := p.ARM(); s != nil {
 			for i, c := range s.M.CPUs {
-				if c.HookTrap != nil || c.HookTick != nil {
+				if c.HookTrap != nil || c.Budget != nil {
 					t.Errorf("%s: cpu%d has fault hooks installed", spec.Name, i)
 				}
 			}

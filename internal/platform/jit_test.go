@@ -35,20 +35,24 @@ func TestJITSnapshotRetain(t *testing.T) {
 	}
 }
 
-// TestJITInstallGates pins where the JIT must not be installed: under
-// event recording, an active fault plan, or watchdog budgets, every trap
-// runs interpreted (the engine reports no dispatches), because those modes
-// observe or perturb state the replay path would skip.
+// TestJITInstallGates pins where the JIT is and is not installed. Under
+// event recording or an active fault plan every trap runs interpreted (the
+// engine reports no dispatches), because those modes keep or perturb
+// individual traps the replay path would skip. Watchdog budgets keep the
+// engine on: replay charges them, so the engine dispatches and the run —
+// signature, trace counters and the watchdog's own counts — equals its
+// JIT-off twin.
 func TestJITInstallGates(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*Spec)
+		name      string
+		mutate    func(*Spec)
+		installed bool
 	}{
-		{"jit=off", func(s *Spec) { s.JITOff = true }},
-		{"record-trace", func(s *Spec) { s.RecordTrace = true }},
-		{"fault-plan", func(s *Spec) { s.Faults.Every = 1000 }},
-		{"max-traps", func(s *Spec) { s.MaxTraps = 1 << 30 }},
-		{"max-steps", func(s *Spec) { s.MaxSteps = 1 << 40 }},
+		{"jit=off", func(s *Spec) { s.JITOff = true }, false},
+		{"record-trace", func(s *Spec) { s.RecordTrace = true }, false},
+		{"fault-plan", func(s *Spec) { s.Faults.Every = 1000 }, false},
+		{"max-traps", func(s *Spec) { s.MaxTraps = 1 << 30 }, true},
+		{"max-steps", func(s *Spec) { s.MaxSteps = 1 << 40 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,9 +60,25 @@ func TestJITInstallGates(t *testing.T) {
 			spec.CPUs = 2
 			tc.mutate(&spec)
 			p := MustBuild(spec)
-			runCellSignature(p)
-			if got := p.JITStats(); got.Hits|got.Misses|got.Bailouts != 0 {
-				t.Fatalf("%s: JIT dispatched anyway: %+v", tc.name, got)
+			sig := runCellSignature(p)
+			got := p.JITStats()
+			if !tc.installed {
+				if got.Hits|got.Misses|got.Bailouts != 0 {
+					t.Fatalf("%s: JIT dispatched anyway: %+v", tc.name, got)
+				}
+				return
+			}
+			if got.Hits == 0 {
+				t.Fatalf("%s: JIT replayed nothing: %+v", tc.name, got)
+			}
+			spec.JITOff = true
+			off := MustBuild(spec)
+			if want := runCellSignature(off); sig != want {
+				t.Fatalf("%s: run differs from its JIT-off twin:\njit-on:\n%s\njit-off:\n%s", tc.name, sig, want)
+			}
+			if w, wo := p.Watchdog(), off.Watchdog(); w.Traps() != wo.Traps() || w.Steps() != wo.Steps() {
+				t.Fatalf("%s: watchdog counted %d traps, %d steps; JIT-off twin %d, %d",
+					tc.name, w.Traps(), w.Steps(), wo.Traps(), wo.Steps())
 			}
 		})
 	}

@@ -139,14 +139,16 @@ type Spec struct {
 	// MaxTraps and MaxSteps, when non-zero, attach a trap-storm watchdog
 	// with those budgets: a run exceeding either aborts with a
 	// *fault.SimError diagnostic instead of livelocking. Run-harness
-	// attachments like Faults.
+	// attachments like Faults. The trace-JIT stays on under them: replay
+	// charges the budgets, and an op they cannot cover runs interpreted,
+	// so the run trips on the same trap with the same diagnostic.
 	MaxTraps uint64
 	MaxSteps uint64
 	// JITOff disables the trace-JIT layer (internal/jit), which is on by
-	// default for plain ARM runs: hot trap sequences are compiled into
-	// super-ops and replayed with byte-identical observable output. The
-	// layer self-disables (regardless of this axis) when trap recording,
-	// fault injection, or a watchdog is attached.
+	// default for ARM runs: hot trap sequences are compiled into super-ops
+	// and replayed with byte-identical observable output, watchdog
+	// verdicts included. The layer self-disables (regardless of this axis)
+	// when trap recording or fault injection is attached.
 	JITOff bool
 }
 

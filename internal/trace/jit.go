@@ -43,6 +43,7 @@ func (c *Collector) BeginCounterLog() {
 	c.tDense = c.tDense[:0]
 	c.tSparse = c.tSparse[:0]
 	c.logGen = c.gen
+	c.logRecent = c.recentTotal
 	c.logging = true
 }
 
@@ -84,12 +85,12 @@ func (d *CounterDelta) Empty() bool {
 // EndCounterLog disarms the log and aggregates it into d. It returns
 // false — the recording is not promotable — when the log is not a faithful
 // account of the counter mutations since BeginCounterLog: event recording
-// or the recent ring is active (replay cannot reproduce retained Event
-// values), or a Reset or checkpoint Restore rewrote the counters behind
-// the log's back (the generation moved).
+// is active (replay cannot reproduce the retained Event list), or a Reset
+// or checkpoint Restore rewrote the counters behind the log's back (the
+// generation moved). The recent ring's share is LogTail's.
 func (c *Collector) EndCounterLog(d *CounterDelta) bool {
 	c.logging = false
-	if c.record || c.recent != nil || c.gen != c.logGen {
+	if c.record || c.gen != c.logGen {
 		return false
 	}
 	d.byReason = [numReasons]uint64{}
@@ -143,4 +144,38 @@ func (c *Collector) ApplyCounterDelta(d *CounterDelta) {
 	for _, e := range d.sparse {
 		c.sparse[e.k] += e.n
 	}
+}
+
+// LogTail appends to dst the events the recent ring gained since
+// BeginCounterLog that it still holds — the last min(n, RecentCap()) of
+// the n pushed — oldest first, and returns the extended slice and n. Call
+// it before the next Trap. With the ring off, n is zero.
+func (c *Collector) LogTail(dst []Event) ([]Event, uint64) {
+	n := c.recentTotal - c.logRecent
+	k := int(min(n, uint64(len(c.recent))))
+	i := c.recentNext - k
+	if i < 0 {
+		i += len(c.recent)
+	}
+	for ; k > 0; k-- {
+		dst = append(dst, c.recent[i])
+		if i++; i == len(c.recent) {
+			i = 0
+		}
+	}
+	return dst, n
+}
+
+// PushRecent replays a recorded sequence's recent-ring effect: events are
+// the last of the n events it pushed, oldest first, with cycles relative
+// to base. The ring ends up as if all n had been pushed.
+func (c *Collector) PushRecent(events []Event, base, n uint64) {
+	for _, ev := range events {
+		ev.Cycle += base
+		c.recent[c.recentNext] = ev
+		if c.recentNext++; c.recentNext == len(c.recent) {
+			c.recentNext = 0
+		}
+	}
+	c.recentTotal += n
 }

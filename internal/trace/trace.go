@@ -255,12 +255,14 @@ type Collector struct {
 	// counter location it increments so a recording's delta costs
 	// O(increments) instead of a full-counter snapshot and diff; gen is
 	// bumped by Reset and Restore, invalidating a log they interrupt.
-	logging  bool
-	logGen   uint64
-	gen      uint64
-	tReasons []Reason
-	tDense   []int32
-	tSparse  []addrKey
+	// logRecent is recentTotal when the log began.
+	logging   bool
+	logGen    uint64
+	gen       uint64
+	logRecent uint64
+	tReasons  []Reason
+	tDense    []int32
+	tSparse   []addrKey
 }
 
 // NewCollector returns a counting collector. If recordEvents is true the
