@@ -78,12 +78,15 @@ smp-race:
 	$(GO) test -race ./internal/kvm -run SMP
 	$(GO) test ./internal/bench -run SMPEquivalence
 
-# One interrupt-storm sweep cell end to end, under the race detector,
-# with adaptive epoch budgets: nevesim smp exits non-zero if the parallel
-# run's equivalence fingerprint diverges from the sequential one, so this
-# covers the sense-reversing-barrier path in one cheap cell.
+# Interrupt-storm sweep cells end to end, under the race detector:
+# nevesim smp exits non-zero if the parallel run's equivalence
+# fingerprint diverges from the sequential one. The first cell uses
+# adaptive epoch budgets; the second fixes a short budget, so its
+# 16-vCPU parallel run crosses the per-vCPU resume/parked handshake on
+# 97 epochs.
 smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
+	$(GO) run -race ./cmd/nevesim smp -budget 1000 -cpus 16 -profile storm
 
 # Trace-JIT correctness smoke: the figure 2 measured table and the two
 # three-level recursive stacks' microbenchmarks (deterministic, no wall

@@ -198,7 +198,7 @@ func benchReport(h bench.Harness, args []string) {
 	}
 }
 
-// smpReport runs the SMP scale-out sweep (internal/bench RunSMPSweep):
+// smpReport runs the SMP scale-out sweep (internal/bench RunSMPReportOpts):
 // every cell sequential then parallel on the epoch-lockstep engine, with
 // the byte-equivalence verdict per cell. -cpus restricts the sweep to
 // registry configurations of that machine width; -profile to one workload

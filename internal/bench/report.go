@@ -125,20 +125,11 @@ func (h Harness) RunBenchReport() Report {
 // RunBenchReport times the suites with the default harness.
 func RunBenchReport() Report { return Harness{}.RunBenchReport() }
 
-// RunSMPReport times the SMP scale-out sweep: one suite entry per cell,
-// with the parallel run's wall time as the tracked number (a vCPU-scaling
+// RunSMPReportOpts times the SMP scale-out sweep of the named registry
+// configs under the given engine options: one suite entry per cell, with
+// the parallel run's wall time as the tracked number (a vCPU-scaling
 // regression in the engine shows up here and fails benchdiff's smp
 // threshold).
-func (h Harness) RunSMPReport() Report { return h.RunSMPReportFor(SMPSweepSpecs()) }
-
-// RunSMPReportFor times the sweep restricted to the named registry
-// configs.
-func (h Harness) RunSMPReportFor(names []string) Report {
-	return h.RunSMPReportOpts(names, SMPSweepOptions{})
-}
-
-// RunSMPReportOpts times the sweep restricted to the named registry
-// configs, under the given engine options.
 func (h Harness) RunSMPReportOpts(names []string, opts SMPSweepOptions) Report {
 	r := Report{
 		Date:        time.Now().Format("2006-01-02"),

@@ -140,18 +140,9 @@ func (a smpFingerprint) equivalent(b smpFingerprint) bool {
 	return true
 }
 
-// RunSMPSweep measures every sweep cell, sequential then parallel, on
-// fresh stacks.
-func (h Harness) RunSMPSweep() []SMPCell { return h.RunSMPSweepFor(SMPSweepSpecs()) }
-
-// RunSMPSweepFor measures the sweep cells of the named registry configs
-// only (cmd/nevesim's -cpus filter).
-func (h Harness) RunSMPSweepFor(names []string) []SMPCell {
-	return h.RunSMPSweepOpts(names, SMPSweepOptions{})
-}
-
 // RunSMPSweepOpts measures the sweep cells of the named registry configs
-// under the given engine options.
+// under the given engine options, sequential then parallel, on fresh
+// stacks.
 func (h Harness) RunSMPSweepOpts(names []string, opts SMPSweepOptions) []SMPCell {
 	var out []SMPCell
 	for _, name := range names {

@@ -38,7 +38,7 @@ func TestSMPEquivalenceAcrossRegistry(t *testing.T) {
 }
 
 func TestRunSMPSweep(t *testing.T) {
-	cells := Harness{}.RunSMPSweep()
+	cells := Harness{}.RunSMPSweepOpts(SMPSweepSpecs(), SMPSweepOptions{})
 	want := len(SMPSweepSpecs()) * len(workload.SMPProfiles())
 	if len(cells) != want {
 		t.Fatalf("sweep produced %d cells, want %d", len(cells), want)
@@ -64,7 +64,7 @@ func TestRunSMPSweep(t *testing.T) {
 }
 
 func TestSMPReportShape(t *testing.T) {
-	r := Harness{}.RunSMPReport()
+	r := Harness{}.RunSMPReportOpts(SMPSweepSpecs(), SMPSweepOptions{})
 	if !r.SMP {
 		t.Fatal("report not marked smp")
 	}

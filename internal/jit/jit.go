@@ -81,8 +81,10 @@ const (
 	// 8 left 46,632 bailouts per warm pass, 16 or more leave 1,589, and 32
 	// leaves room for twice the largest. Move-to-front keeps the
 	// matching variant's guard check first, so a longer chain costs little
-	// per dispatch; a cause needing still more variants is effectively
-	// data-dependent.
+	// per dispatch: without it a warm fig2 pass tries 2,491,350 guard
+	// checks instead of 906,521 and takes ~27% longer (362 vs 286 ms,
+	// median of 10 warm in-process passes each on a 2-vCPU host). A cause
+	// needing still more variants is effectively data-dependent.
 	maxChain = 32
 )
 

@@ -2,7 +2,6 @@ package kvm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/nevesim/neve/internal/arm"
@@ -13,7 +12,7 @@ import (
 
 // The deterministic epoch-lockstep SMP engine.
 //
-// Each vCPU runs its trap-and-emulate stream on its own worker; the run
+// Each vCPU runs its trap-and-emulate stream on its own goroutine; the run
 // is divided into epochs of at most EpochBudget guest cycles. Within an
 // epoch a vCPU touches only per-vCPU state (its CPU model, contexts,
 // VNCR page, private Stage-2 TLB, trace shard), so epochs of
@@ -31,16 +30,17 @@ import (
 // k*CostModel.DistContention cycles on its initiating vCPU, reproducing
 // the serialization that concurrent SGI writes suffer on real hardware.
 //
-// Synchronization (parallel mode) is two sense-reversing barriers with
-// fixed membership (n workers + the coordinator): bStart releases an
-// epoch, bEnd ends it. Compared to the per-epoch channel pairs of the
-// first version, an epoch costs two barrier crossings total instead of
-// 2n channel operations, and retired workers keep pacing the barriers as
-// lame ducks so membership never changes mid-run. Workers come from a
-// process-wide pool and are reused across runs and sweep cells.
+// Synchronization is one handshake in both modes: each vCPU goroutine
+// talks to the coordinator only through its resume/parked channel pair,
+// receiving a release on resume and sending its park payload on parked.
+// A sequential epoch releases and collects one vCPU at a time; a parallel
+// epoch releases every active vCPU, then collects them all. The goroutines
+// are started per run and exit once their program has retired. Epochs are
+// long (a few dozen per benchmark sweep cell), so per-epoch
+// synchronization is noise next to segment execution.
 
 // defaultEpochBudget is the guest-cycle length of one epoch when
-// SMPOptions.EpochBudget is zero. Long enough to amortize barrier
+// SMPOptions.EpochBudget is zero. Long enough to amortize epoch
 // synchronization, short enough to bound IPI delivery latency.
 const defaultEpochBudget = 20000
 
@@ -53,7 +53,7 @@ const (
 
 // SMPOptions configures an SMP run.
 type SMPOptions struct {
-	// Parallel runs vCPU epochs on concurrent workers. The result is
+	// Parallel runs vCPU epochs on concurrent goroutines. The result is
 	// byte-identical to a sequential run; only wall-clock time differs.
 	// Configurations whose segment execution is not per-vCPU-pure (GICv2
 	// shadow pages, fault hooks, copy-on-write restored memory) fall back
@@ -100,86 +100,7 @@ type SMPStats struct {
 	FinalBudget uint64
 }
 
-// senseBarrier is a reusable sense-reversing barrier with fixed
-// membership. Unlike sync.WaitGroup it needs no re-arming between
-// phases: each crossing flips the sense, so the same two barrier values
-// pace every epoch of a run.
-type senseBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	parties int
-	waiting int
-	sense   bool
-}
-
-func newSenseBarrier(parties int) *senseBarrier {
-	b := &senseBarrier{parties: parties}
-	b.cond.L = &b.mu
-	return b
-}
-
-// await blocks until all parties have arrived, then releases them
-// together. The barrier's mutex makes every write before an arrival
-// happen-before every read after the release.
-func (b *senseBarrier) await() {
-	b.mu.Lock()
-	sense := b.sense
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.sense = !sense
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for b.sense == sense {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// smpWorker is a pooled goroutine executing one job at a time. The jobs
-// channel is unbuffered, so handing a worker its next job synchronizes
-// with the completion of its previous one — a worker may be released to
-// the pool as soon as its job is logically finished.
-type smpWorker struct {
-	jobs chan func()
-}
-
-var (
-	smpPoolMu   sync.Mutex
-	smpPoolFree []*smpWorker
-)
-
-// acquireSMPWorker takes a worker from the process-wide pool, spawning
-// one if the pool is empty. Workers persist for the process lifetime:
-// across RunSMPOpts calls, sweep cells, and stacks, so steady-state SMP
-// runs spawn no goroutines at all.
-func acquireSMPWorker() *smpWorker {
-	smpPoolMu.Lock()
-	if n := len(smpPoolFree); n > 0 {
-		w := smpPoolFree[n-1]
-		smpPoolFree = smpPoolFree[:n-1]
-		smpPoolMu.Unlock()
-		return w
-	}
-	smpPoolMu.Unlock()
-	w := &smpWorker{jobs: make(chan func())}
-	go func() {
-		for job := range w.jobs {
-			job()
-		}
-	}()
-	return w
-}
-
-func releaseSMPWorker(w *smpWorker) {
-	smpPoolMu.Lock()
-	smpPoolFree = append(smpPoolFree, w)
-	smpPoolMu.Unlock()
-}
-
-// parkKind labels why a vCPU worker parked back to the coordinator.
+// parkKind labels why a vCPU goroutine parked back to the coordinator.
 type parkKind int
 
 const (
@@ -195,7 +116,7 @@ const (
 	// parkFinishing: the program returned; the exit epilogue (cold
 	// context switch out) is pending and must run serialized.
 	parkFinishing
-	// parkDone: the worker has fully retired its program.
+	// parkDone: the goroutine has fully retired its program and exits.
 	parkDone
 )
 
@@ -213,29 +134,23 @@ type smpEngine struct {
 	n        int
 	parallel bool
 	adaptive bool
-	// budget is the current epoch budget. Workers read it between
-	// barriers; the coordinator retunes it (adaptive mode) during the
-	// merge, while every worker is parked — the barrier crossing is the
-	// happens-before edge in both directions.
+	// budget is the current epoch budget. vCPU goroutines read it inside
+	// their segments; the coordinator retunes it (adaptive mode) during
+	// the merge, while every vCPU is parked.
 	budget uint64
 
-	// resume[i]/parked[i] carry the per-vCPU handshakes that stay
-	// serialized in every mode: entry, exit epilogues, and (sequential
-	// mode) each segment. They are pure signals; the park payload
-	// travels in state[i], written by worker i before it signals.
+	// resume[i]/parked[i] are vCPU i's handshake with the coordinator in
+	// every mode: a receive on resume releases the goroutine, and it sends
+	// its park payload on parked. The channel operations are the
+	// happens-before edges in both directions. state[i] holds the payload
+	// last received from vCPU i; only the coordinator touches it.
 	resume []chan struct{}
-	parked []chan struct{}
+	parked []chan smpPark
 	state  []smpPark
 	done   []bool
 
-	// bStart/bEnd pace parallel epochs; membership is fixed at n+1
-	// (workers + coordinator). over releases lame-duck workers after the
-	// final epoch; it is written before the coordinator's last bStart
-	// crossing and read after the workers'.
-	bStart, bEnd *senseBarrier
-	over         bool
-	// barrierWait accumulates the coordinator's wall-clock wait at bEnd:
-	// the synchronization share of the run.
+	// barrierWait accumulates the coordinator's wall-clock time collecting
+	// parallel epochs, from the last release until every vCPU has parked.
 	barrierWait time.Duration
 
 	ipis   *gic.EpochQueue
@@ -269,17 +184,15 @@ func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPSta
 		parallel: opts.Parallel && s.parallelSafe(n),
 		adaptive: opts.Adaptive,
 		resume:   make([]chan struct{}, n),
-		parked:   make([]chan struct{}, n),
+		parked:   make([]chan smpPark, n),
 		state:    make([]smpPark, n),
 		done:     make([]bool, n),
-		bStart:   newSenseBarrier(n + 1),
-		bEnd:     newSenseBarrier(n + 1),
 		ipis:     gic.NewEpochQueue(n),
 		guests:   make([]*SMPGuest, n),
 	}
 	for i := 0; i < n; i++ {
 		e.resume[i] = make(chan struct{})
-		e.parked[i] = make(chan struct{})
+		e.parked[i] = make(chan smpPark)
 	}
 	e.stats.VCPUs = n
 	e.stats.Parallel = e.parallel
@@ -301,7 +214,7 @@ func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPSta
 func (s *Stack) LastSMP() SMPStats { return s.lastSMP }
 
 // parallelSafe reports whether segment execution is per-vCPU-pure in this
-// configuration, i.e. whether epochs may run on concurrent workers.
+// configuration, i.e. whether epochs may run on concurrent goroutines.
 func (s *Stack) parallelSafe(n int) bool {
 	for _, h := range s.hyps() {
 		if h.Cfg.GICv2 {
@@ -334,9 +247,9 @@ func (s *Stack) parallelSafe(n int) bool {
 //     make miss patterns independent of sibling scheduling);
 //   - machine memory switches to concurrent mode (drops the last-page
 //     cache, a pure performance shortcut);
-//   - each running CPU detaches the trace-JIT: the whole-stack engine's
-//     walk and chain state span all cores, so SMP runs are interpreted
-//     and the teardown re-attaches it;
+//   - each running CPU detaches the trace-JIT: jit.Engine is not safe
+//     for concurrent use, so SMP runs are interpreted and the teardown
+//     re-attaches it;
 //   - every VM's Stage-2 tables are built up front: the lazy build in
 //     vmVTTBR mutates the VM and allocates memory, so two vCPUs of one
 //     VM reaching it in the same parallel epoch would race.
@@ -378,14 +291,13 @@ func (s *Stack) smpSetup(n int) func() {
 	}
 }
 
-// run executes the worker protocol to completion.
+// run starts one goroutine per vCPU program and drives the epochs to
+// completion. Every goroutine has sent parkDone, its last message, by the
+// time run returns.
 func (e *smpEngine) run(programs []func(g *SMPGuest)) {
-	workers := make([]*smpWorker, e.n)
 	for i := 0; i < e.n; i++ {
-		i := i
 		e.guests[i] = &SMPGuest{eng: e, id: i}
-		workers[i] = acquireSMPWorker()
-		workers[i].jobs <- func() {
+		go func() {
 			<-e.resume[i]
 			e.s.runOn(i, func(g *GuestCtx) {
 				sg := e.guests[i]
@@ -395,39 +307,19 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 				programs[i](sg)
 				sg.park(smpPark{kind: parkFinishing})
 			})
-			e.state[i] = smpPark{kind: parkDone}
-			e.parked[i] <- struct{}{}
-			if e.parallel {
-				// Lame duck: the sense barriers have fixed membership, so
-				// a retired worker keeps pacing them until the run is over.
-				for {
-					e.bStart.await()
-					if e.over {
-						return
-					}
-					e.bEnd.await()
-				}
-			}
-		}
+			e.parked[i] <- smpPark{kind: parkDone}
+		}()
 	}
-	defer func() {
-		for _, w := range workers {
-			releaseSMPWorker(w)
-		}
-	}()
 
 	// Serialized entry: context-chain entry allocates from shared bump
 	// allocators (guest page tables, VNCR pages), so each vCPU enters
 	// alone, in vCPU order, before any epoch runs.
 	for i := 0; i < e.n; i++ {
-		e.resume[i] <- struct{}{}
-		<-e.parked[i]
-		if e.state[i].kind != parkEntered {
-			panic("kvm: SMP worker parked before completing entry")
+		if e.step(i).kind != parkEntered {
+			panic("kvm: SMP vCPU parked before completing entry")
 		}
 	}
 
-	first := true
 	for {
 		act := activeVCPUs(e.done)
 		if len(act) == 0 {
@@ -435,34 +327,29 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 		}
 		e.stats.Epochs++
 		if e.parallel {
-			if first {
-				// After entry every worker is blocked on its resume
-				// channel; the first epoch is released there. All later
-				// epochs release through bStart.
-				for i := 0; i < e.n; i++ {
-					e.resume[i] <- struct{}{}
-				}
-				first = false
-			} else {
-				e.bStart.await()
+			for _, i := range act {
+				e.resume[i] <- struct{}{}
 			}
 			t0 := time.Now()
-			e.bEnd.await()
+			for _, i := range act {
+				e.state[i] = <-e.parked[i]
+			}
 			e.barrierWait += time.Since(t0)
 		} else {
 			// Sequential epoch: one segment at a time, vCPU order.
 			for _, i := range act {
-				e.resume[i] <- struct{}{}
-				<-e.parked[i]
+				e.step(i)
 			}
 		}
 		e.merge(act)
 	}
-	if e.parallel && !first {
-		// Release the lame ducks into retirement.
-		e.over = true
-		e.bStart.await()
-	}
+}
+
+// step releases vCPU i, waits for it to park again and returns the park.
+func (e *smpEngine) step(i int) smpPark {
+	e.resume[i] <- struct{}{}
+	e.state[i] = <-e.parked[i]
+	return e.state[i]
 }
 
 // activeVCPUs returns the indices of unfinished vCPUs, in vCPU order.
@@ -477,9 +364,8 @@ func activeVCPUs(done []bool) []int {
 }
 
 // merge applies the epoch's shared-state effects on the coordinator
-// thread, in strict vCPU order. Every parked worker has crossed bEnd (or
-// signaled parked[i] in sequential mode), so the coordinator may operate
-// on any parked vCPU's CPU context race-free.
+// thread, in strict vCPU order. Every active vCPU has parked, so the
+// coordinator may operate on any of their CPU contexts race-free.
 func (e *smpEngine) merge(act []int) {
 	// 1. Parked shared-state operations (RAM, shared device registers).
 	for _, i := range act {
@@ -516,10 +402,8 @@ func (e *smpEngine) merge(act []int) {
 	// out of the guest one at a time, in vCPU order.
 	for _, i := range act {
 		if e.state[i].kind == parkFinishing {
-			e.resume[i] <- struct{}{}
-			<-e.parked[i]
-			if e.state[i].kind != parkDone {
-				panic("kvm: SMP worker parked inside its exit epilogue")
+			if e.step(i).kind != parkDone {
+				panic("kvm: SMP vCPU parked inside its exit epilogue")
 			}
 			e.done[i] = true
 		}
@@ -551,23 +435,10 @@ func (e *smpEngine) merge(act []int) {
 	}
 }
 
-// park blocks the calling worker until the coordinator resumes it. The
-// park payload is written to state before the signal; the channel send
-// (or barrier crossing) publishes it.
+// park hands vCPU id's payload to the coordinator and blocks until the
+// coordinator resumes it.
 func (e *smpEngine) park(id int, p smpPark) {
-	e.state[id] = p
-	if e.parallel && p.kind != parkEntered {
-		e.bEnd.await()
-		if p.kind == parkFinishing {
-			// The exit epilogue stays channel-serialized even in parallel
-			// mode: the coordinator runs finishing vCPUs one at a time.
-			<-e.resume[id]
-			return
-		}
-		e.bStart.await()
-		return
-	}
-	e.parked[id] <- struct{}{}
+	e.parked[id] <- p
 	<-e.resume[id]
 }
 

@@ -2,7 +2,9 @@ package kvm
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestSMPInterleavesDeterministically(t *testing.T) {
@@ -272,6 +274,57 @@ func TestSMPAllDoneAdvance(t *testing.T) {
 	}
 	if st.Epochs < 8 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestSMPEarlyRetirementNoLeak(t *testing.T) {
+	// vCPU 0 retires in the first epoch while its siblings run many more:
+	// the parallel run must still match the sequential one, and every vCPU
+	// goroutine must be gone once RunSMPOpts returns.
+	const n = 4
+	run := func(parallel bool) (SMPStats, []uint64, uint64) {
+		s := NewVMStack(StackOptions{CPUs: n})
+		progs := make([]func(g *SMPGuest), n)
+		progs[0] = func(g *SMPGuest) {}
+		for i := 1; i < n; i++ {
+			progs[i] = func(g *SMPGuest) {
+				for r := 0; r < 40; r++ {
+					g.Work(300)
+					g.SendIPI((g.ID()+1)%n, r%MaxGuestSGI)
+				}
+			}
+		}
+		before := runtime.NumGoroutine()
+		st := s.RunSMPOpts(progs, SMPOptions{Parallel: parallel, EpochBudget: 500})
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("parallel=%v: %d goroutines after the run, %d before", parallel, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var cycles []uint64
+		for _, c := range s.M.CPUs {
+			cycles = append(cycles, c.Cycles())
+		}
+		return st, cycles, s.M.Trace.Total()
+	}
+	seq, seqCycles, seqTraps := run(false)
+	par, parCycles, parTraps := run(true)
+	if !par.Parallel {
+		t.Fatal("parallel run fell back to sequential")
+	}
+	if seq.Epochs < 20 {
+		t.Fatalf("siblings ran only %d epochs; the test needs a long tail after vCPU 0 retires", seq.Epochs)
+	}
+	par.Parallel = false
+	if par != seq {
+		t.Errorf("stats diverge: par %+v vs seq %+v", par, seq)
+	}
+	if !reflect.DeepEqual(parCycles, seqCycles) {
+		t.Errorf("cycles diverge: par %v vs seq %v", parCycles, seqCycles)
+	}
+	if parTraps != seqTraps {
+		t.Errorf("traps diverge: par %d vs seq %d", parTraps, seqTraps)
 	}
 }
 

@@ -30,8 +30,8 @@ type Stack struct {
 	jit  *jit.Engine
 	sgen structGen
 
-	// smpBarrierWait is the wall clock the coordinator spent waiting at
-	// epoch-end barriers during the last SMP run. Wall time, not virtual
+	// smpBarrierWait is the wall clock the coordinator spent collecting
+	// parallel epochs during the last SMP run. Wall time, not virtual
 	// time — it lives here, outside SMPStats, so the parallel/sequential
 	// equivalence gates never compare it.
 	smpBarrierWait time.Duration
@@ -156,8 +156,8 @@ func (s *Stack) RunGuest(i int, fn func(g *GuestCtx)) {
 func (s *Stack) NEVE() bool { return s.GuestHyp != nil && s.GuestHyp.Cfg.NEVE }
 
 // LastSMPBarrierWait returns the wall-clock time the coordinator spent
-// waiting at epoch-end barriers during the most recent SMP run. It is a
-// host-side measurement (how much of the run was synchronization rather
-// than segment execution) and is deliberately kept out of SMPStats so the
-// byte-equivalence gates never see it.
+// collecting parallel epochs (waiting for every released vCPU to park)
+// during the most recent SMP run, segment execution included; it is zero
+// for sequential runs. It is a host-side measurement and is deliberately
+// kept out of SMPStats so the byte-equivalence gates never see it.
 func (s *Stack) LastSMPBarrierWait() time.Duration { return s.smpBarrierWait }
