@@ -88,15 +88,16 @@ smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
 	$(GO) run -race ./cmd/nevesim smp -budget 1000 -cpus 16 -profile storm
 
-# Trace-JIT correctness smoke: the figure 2 measured table and the two
-# three-level recursive stacks' microbenchmarks (deterministic, no wall
-# times) must be byte-identical with super-ops replaying (-jit=on) and
+# Trace-JIT correctness smoke: every measured table and figure (`all`:
+# Tables 1/6/7, Figure 2, events, ablation, optvhe and recursive) and the
+# two three-level recursive stacks' microbenchmarks (deterministic, no
+# wall times) must be byte-identical with super-ops replaying (-jit=on) and
 # every trap interpreted (-jit=off). Any diff is a replay-path bug. The
 # two guarded runs keep the JIT on under a watchdog budget that trips:
 # their whole output (stdout, stderr with the SimError and its recent
 # traps, the exit status; minus fleet's wall-time line) must match too.
 jit-equiv-smoke:
-	@for run in "fig2" "run -config recursive-v8.3" "run -config recursive-neve"; do \
+	@for run in "all" "run -config recursive-v8.3" "run -config recursive-neve"; do \
 		$(GO) run ./cmd/nevesim -jit=on $$run > .jit-on.tmp || exit 1; \
 		$(GO) run ./cmd/nevesim -jit=off $$run > .jit-off.tmp || exit 1; \
 		if diff .jit-on.tmp .jit-off.tmp; then \

@@ -53,7 +53,7 @@ func (c *CPU) SetJIT(j *jit.Engine) {
 
 // JITPoison marks the active JIT recording, if any, non-promotable. Model
 // code called from trap handlers whose effects no tracked word can
-// express (NEVE page accesses, virtual interrupt delivery into a guest,
+// express (NEVE page accesses, interrupt delivery into an observed guest,
 // enabled-timer evaluation) calls it.
 func (c *CPU) JITPoison() {
 	if c.jitPoison != nil {

@@ -77,7 +77,6 @@ type vcpuCheckpoint struct {
 
 type guestCheckpoint struct {
 	irqHandler func(intid int)
-	irqCount   uint64
 	s1         *mmu.TablesCheckpoint
 	s1Next     mem.Addr
 	vq         *virtio.DriverCheckpoint
@@ -184,7 +183,7 @@ func checkpointVCPU(v *VCPU) vcpuCheckpoint {
 	}
 	if v.Guest != nil {
 		g := v.Guest
-		gcp := &guestCheckpoint{irqHandler: g.irqHandler, irqCount: g.IRQCount}
+		gcp := &guestCheckpoint{irqHandler: g.irqHandler}
 		if g.s1 != nil {
 			t := g.s1.Checkpoint()
 			gcp.s1 = &t
@@ -327,6 +326,7 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 	v.st.w[vcDirtyLRs] = uint64(cp.dirtyLRs)
 	v.st.w[vcX0] = cp.x0
 	v.st.w[vcOnline] = b2u(cp.online)
+	v.st.w[vcObserved] = b2u(cp.guest != nil && cp.guest.irqHandler != nil)
 	if cp.guest == nil {
 		v.Guest = nil
 		return
@@ -336,7 +336,6 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 	}
 	g := v.Guest
 	g.irqHandler = cp.guest.irqHandler
-	g.IRQCount = cp.guest.irqCount
 	if cp.guest.s1 == nil {
 		g.s1 = nil
 	} else {

@@ -34,14 +34,17 @@ import (
 //   - Poisoned: physical memory contents and page-table descriptors
 //     (mem.Memory's Tap), the stage-2 TLB (hits become replay-guard probes
 //     via OnLookup; misses and mutations poison), virtual interrupt
-//     delivery into a guest, enabled-timer evaluation and counter reads,
+//     delivery into a guest with an IRQ observer (GuestCtx.OnIRQ; no
+//     workload installs one), enabled-timer evaluation and counter reads,
 //     the UART, guest Stage-1 table allocation, and NEVE accesses to an
 //     unregistered deferred access page.
 //
 // Deliberately unguarded:
 //   - Table contents: table growth writes simulated memory, which poisons.
-//   - Guest IRQ handlers: HandleVIRQ poisons before it runs one, so no
-//     super-op replays over a handler.
+//   - Guest IRQ observers: HandleVIRQ poisons before it runs one, so no
+//     super-op replays over an observer. Whether one is installed is a
+//     tracked vCPU word (vcObserved), so an op recorded unobserved bails
+//     once an observer appears.
 //   - Virtio ring cursors: every path that reads or advances them moves
 //     ring data through memory.
 //   - Topology — hypervisor identity, VMs, vCPUs, contexts, distributor
@@ -260,6 +263,16 @@ func (s *Stack) JITStats() trace.JITStats {
 		return trace.JITStats{}
 	}
 	return s.jit.Stats()
+}
+
+// JITOps returns the number of super-ops the engine has compiled (zero when
+// no engine is installed).
+func (s *Stack) JITOps() int {
+	if s.jit == nil {
+		return 0
+	}
+	_, ops := s.jit.Entries()
+	return ops
 }
 
 // SMPJITStats returns zero: SMP runs are interpreted (smpSetup detaches

@@ -1,10 +1,12 @@
 package kvm
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
+	"github.com/nevesim/neve/internal/trace"
 	"github.com/nevesim/neve/internal/virtio"
 )
 
@@ -180,5 +182,100 @@ func TestIRQHandlerOutsideGeneration(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[0] != [2]uint64{6, 6} {
 		t.Fatalf("handler calls (first, second): jit on %v, jit off %v, want [6 6] in both", counts[0], counts[1])
+	}
+}
+
+// selfIPIRounds runs TestIRQHandlerOutsideGeneration's loop: each round a
+// nested guest sends itself an IPI, which is delivered inside the host's
+// handling of the guest hypervisor's return. It returns each round's
+// dispatch counters.
+func selfIPIRounds(s *Stack, g *GuestCtx, rounds int) []trace.JITStats {
+	out := make([]trace.JITStats, rounds)
+	for r := range out {
+		before := s.JITStats()
+		g.SendIPI(0, 3)
+		g.Work(10)
+		out[r] = s.JITStats().Sub(before)
+	}
+	return out
+}
+
+// TestUnobservedIRQDeliveryReplays: delivering a virtual interrupt to a
+// guest without an observer reads and writes only tracked state, so the
+// trace-JIT replays the exit that delivers it whole. The JIT-off twin
+// observes every delivery (one per round), then drops its observer, and
+// the JIT-on run must end in its state and trace counters.
+func TestUnobservedIRQDeliveryReplays(t *testing.T) {
+	const rounds = 12
+	var digests [2]string
+	var delivered int
+	for i, jitOn := range []bool{true, false} {
+		s := NewNestedStack(StackOptions{CPUs: 1})
+		if jitOn {
+			s.InstallJIT()
+		}
+		s.RunGuest(0, func(g *GuestCtx) {
+			if !jitOn {
+				g.OnIRQ(func(int) { delivered++ })
+				defer g.OnIRQ(nil)
+			}
+			stats := selfIPIRounds(s, g, rounds)
+			// Warm, each round is one replayed exit, nothing interpreted.
+			if last := stats[rounds-1]; jitOn && last != (trace.JITStats{Hits: 1}) {
+				t.Fatalf("last round did not replay whole: %+v (rounds %+v)", last, stats)
+			}
+		})
+		digests[i] = guardDigest(s, nil) + fmt.Sprintf("traps=%v\n", s.M.Trace.Details())
+	}
+	if delivered != rounds {
+		t.Fatalf("jit-off twin saw %d deliveries, want one per round (%d)", delivered, rounds)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("jit-on run diverged from the jit-off twin:\n--- on\n%s--- off\n%s", digests[0], digests[1])
+	}
+}
+
+// TestIRQObserverAfterReplay: an observer installed after unobserved
+// deliveries were compiled into super-ops still sees every delivery, and
+// so does one a restore brings back. Whether a guest is observed is a
+// tracked word the delivery reads, so the unobserved ops bail and the
+// observed deliveries run interpreted, ending in the JIT-off twin's state.
+func TestIRQObserverAfterReplay(t *testing.T) {
+	var digests [2]string
+	var seen [2]int
+	for i, jitOn := range []bool{true, false} {
+		s := NewNestedStack(StackOptions{CPUs: 1})
+		if jitOn {
+			s.InstallJIT()
+		}
+		run := func(setup func(g *GuestCtx)) {
+			s.RunGuest(0, func(g *GuestCtx) {
+				setup(g)
+				selfIPIRounds(s, g, 6)
+			})
+		}
+		keep := func(*GuestCtx) {}
+		boot := s.Checkpoint()
+		run(keep)
+		run(keep)
+		if jitOn && s.JITStats().Hits == 0 {
+			t.Fatal("no super-op replayed before the observer")
+		}
+		run(func(g *GuestCtx) { g.OnIRQ(func(int) { seen[i]++ }) })
+		observed := s.Checkpoint()
+		s.Restore(boot)
+		run(func(g *GuestCtx) { g.OnIRQ(nil) })
+		s.Restore(observed)
+		run(keep)
+		digests[i] = guardDigest(s, nil) + fmt.Sprintf("traps=%v\n", s.M.Trace.Details())
+	}
+	// Twelve observed rounds, plus any re-delivery at a RunGuest entry
+	// (entering the guest again re-delivers the previous run's last
+	// interrupt); the twins must agree on both.
+	if seen[0] != seen[1] || seen[1] < 12 {
+		t.Fatalf("observer calls: jit on %d, jit off %d, want equal and at least 12", seen[0], seen[1])
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("jit-on run diverged from the jit-off twin:\n--- on\n%s--- off\n%s", digests[0], digests[1])
 	}
 }

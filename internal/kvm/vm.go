@@ -140,6 +140,9 @@ const (
 	// vcX0 is the virtual first argument/return register: MMIO emulation
 	// results and PSCI arguments travel through it.
 	vcX0
+	// vcObserved is 1 while the vCPU's guest has an interrupt observer
+	// (GuestCtx.OnIRQ); interrupt delivery guards it.
+	vcObserved
 	numVCPUWords
 )
 
@@ -165,9 +168,6 @@ type GuestCtx struct {
 	VCPU *VCPU
 
 	irqHandler func(intid int)
-
-	// IRQCount counts delivered virtual interrupts (used by workloads).
-	IRQCount uint64
 
 	// s1 is the guest OS's own Stage-1 page table tree (EnableStage1).
 	s1 *mmu.Tables
@@ -221,22 +221,27 @@ func (g *GuestCtx) SendIPI(target, intid int) {
 	g.CPU.MSR(arm.ICC_SGI1R_EL1, uint64(target)<<16|uint64(intid))
 }
 
-// OnIRQ registers the guest kernel's interrupt handler.
+// OnIRQ installs an observer of the interrupts delivered to this guest
+// (nil removes it); workloads install none. HandleVIRQ poisons recordings
+// that run an observer, and vcObserved makes super-ops recorded without
+// one bail once one is installed.
 func (g *GuestCtx) OnIRQ(fn func(intid int)) {
 	g.irqHandler = fn
+	g.VCPU.st.set(vcObserved, b2u(fn != nil))
 }
 
 // HandleVIRQ implements arm.VIRQSink: the guest acknowledges the interrupt
 // through the hardware virtual CPU interface, runs its handler, and
 // completes the interrupt — without hypervisor involvement (Section 2).
+// Unobserved, delivery reads and writes only tracked state (the CPU
+// interface registers and the clock), so the trace-JIT replays the exits
+// that deliver interrupts whole.
 func (g *GuestCtx) HandleVIRQ(c *arm.CPU, intid int) {
-	// Delivery runs an arbitrary guest handler (workload closures whose
-	// captured state no tracked word expresses), so a recording that
-	// reaches it cannot be promoted.
-	c.JITPoison()
+	if g.VCPU.st.get(vcObserved) != 0 {
+		c.JITPoison()
+	}
 	got := c.MRS(arm.ICC_IAR1_EL1)
 	c.Work(40) // generic kernel IRQ entry/dispatch
-	g.IRQCount++
 	if g.irqHandler != nil {
 		g.irqHandler(int(got))
 	}

@@ -120,7 +120,6 @@ func (g *guestCheckpoint) Wire(c *wire.Codec) {
 		c.Fail("kvm: checkpoint carries a guest IRQ handler (not a boot checkpoint); cannot serialize")
 		return
 	}
-	wire.U64(c, &g.irqCount)
 	wire.Ptr(c, &g.s1, wire.Struct)
 	wire.U64(c, &g.s1Next)
 	wire.Ptr(c, &g.vq, wire.Struct)

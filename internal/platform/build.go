@@ -25,6 +25,9 @@ const NICVector = 0x51
 type Guest interface {
 	workload.API
 	Cycles() uint64
+	// OnIRQ installs an interrupt observer; workloads need none, and
+	// the trace-JIT never replays an observed delivery.
+	OnIRQ(fn func(intid int))
 }
 
 // Platform is one assembled stack: the uniform execution surface over the

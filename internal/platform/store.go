@@ -43,7 +43,7 @@ type CheckpointStore struct {
 // storeMagic begins every entry; bump the trailing digit on any codec
 // layout change so stale entries from older builds read as corrupt
 // (= cold boot) instead of decoding garbage.
-const storeMagic = "NEVECKP1"
+const storeMagic = "NEVECKP2"
 
 // headerLen is magic + payload length (8) + payload SHA-256 (32).
 const headerLen = len(storeMagic) + 8 + sha256.Size

@@ -20,7 +20,7 @@ type SMPAPI interface {
 	RAMRead64(off uint64) uint64
 	RAMWrite64(off uint64, v uint64)
 	// ArmTimer programs the vCPU's virtual timer to fire delta cycles
-	// from now; the expiry arrives through OnIRQ like any interrupt.
+	// from now; the expiry is delivered like any other interrupt.
 	ArmTimer(delta uint64)
 	// DeviceKick rings the per-vCPU emulated device doorbell; the device
 	// raises its completion interrupt on the issuing core.
@@ -58,7 +58,6 @@ func (p SMPProfile) Programs(n int) []func(g SMPAPI) {
 // one distributor every round (hackbench's scheduler-IPI shape at scale).
 func ipiRing(p SMPProfile, n, i int) func(g SMPAPI) {
 	return func(g SMPAPI) {
-		g.OnIRQ(func(intid int) {})
 		for r := 0; r < p.Rounds; r++ {
 			g.Work(p.OpWork)
 			if n > 1 {
@@ -87,7 +86,6 @@ func fanOut(p SMPProfile, n, i int) func(g SMPAPI) {
 		}
 	}
 	return func(g SMPAPI) {
-		g.OnIRQ(func(intid int) {})
 		for r := 0; r < p.Rounds; r++ {
 			g.Work(p.OpWork)
 			g.Yield()
@@ -107,7 +105,6 @@ func fanOut(p SMPProfile, n, i int) func(g SMPAPI) {
 // crosses vCPUs.
 func storm(p SMPProfile, n, i int) func(g SMPAPI) {
 	return func(g SMPAPI) {
-		g.OnIRQ(func(intid int) {})
 		for r := 0; r < p.Rounds; r++ {
 			g.ArmTimer(p.OpWork / 2)
 			g.Work(p.OpWork)
@@ -128,7 +125,6 @@ func storm(p SMPProfile, n, i int) func(g SMPAPI) {
 // steady interrupt load.
 func stormBurst(p SMPProfile, n, i int) func(g SMPAPI) {
 	return func(g SMPAPI) {
-		g.OnIRQ(func(intid int) {})
 		for r := 0; r < p.Rounds; r++ {
 			g.ArmTimer(p.OpWork / 2)
 			g.Work(p.OpWork)

@@ -29,8 +29,6 @@ type API interface {
 	DeviceRead(off uint64) uint64
 	// SendIPI sends an inter-processor interrupt to another vCPU.
 	SendIPI(target, intid int)
-	// OnIRQ registers the interrupt handler.
-	OnIRQ(fn func(intid int))
 }
 
 // Clock exposes the vCPU cycle counter; both GuestCtx types implement it.
@@ -119,8 +117,6 @@ type Result struct {
 // Run executes the profile on g, measuring with clk.
 func (p *Profile) Run(g API, clk Clock, plat Platform) Result {
 	res := Result{Profile: p.Name}
-	var handled uint64
-	g.OnIRQ(func(intid int) { handled++ })
 
 	var accHC, accRX, accTX, accIPI float64
 	var busyUntil, rxBusyUntil uint64
@@ -204,8 +200,7 @@ func (p *Profile) Run(g API, clk Clock, plat Platform) Result {
 // Native is the bare-metal baseline implementation of API and Clock: events
 // cost their native (non-virtualized) handling time.
 type Native struct {
-	cycles     uint64
-	irqHandler func(int)
+	cycles uint64
 }
 
 // Native per-event costs (cycles): a syscall-class trap, a device register
@@ -232,19 +227,11 @@ func (n *Native) DeviceRead(off uint64) uint64 {
 // SendIPI implements API.
 func (n *Native) SendIPI(target, intid int) { n.cycles += nativeIPI }
 
-// OnIRQ implements API.
-func (n *Native) OnIRQ(fn func(int)) { n.irqHandler = fn }
-
 // Cycles implements Clock.
 func (n *Native) Cycles() uint64 { return n.cycles }
 
 // InjectDeviceIRQ implements Platform for the native baseline.
-func (n *Native) InjectDeviceIRQ() {
-	n.cycles += nativeIRQ
-	if n.irqHandler != nil {
-		n.irqHandler(40)
-	}
-}
+func (n *Native) InjectDeviceIRQ() { n.cycles += nativeIRQ }
 
 // ServicePeer implements Platform.
 func (n *Native) ServicePeer() {}

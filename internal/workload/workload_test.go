@@ -7,16 +7,15 @@ import (
 
 // fakeGuest counts events and charges configurable costs.
 type fakeGuest struct {
-	cycles    uint64
-	hcCost    uint64
-	devCost   uint64
-	ipiCost   uint64
-	irqCost   uint64
-	hc        int
-	dev       int
-	ipi       int
-	irq       int
-	irqHandle func(int)
+	cycles  uint64
+	hcCost  uint64
+	devCost uint64
+	ipiCost uint64
+	irqCost uint64
+	hc      int
+	dev     int
+	ipi     int
+	irq     int
 }
 
 func (f *fakeGuest) Work(n uint64) { f.cycles += n }
@@ -27,16 +26,12 @@ func (f *fakeGuest) DeviceRead(off uint64) uint64 {
 	return 1
 }
 func (f *fakeGuest) SendIPI(target, intid int) { f.ipi++; f.cycles += f.ipiCost }
-func (f *fakeGuest) OnIRQ(fn func(int))        { f.irqHandle = fn }
 func (f *fakeGuest) Cycles() uint64            { return f.cycles }
 
 // Platform side.
 func (f *fakeGuest) InjectDeviceIRQ() {
 	f.irq++
 	f.cycles += f.irqCost
-	if f.irqHandle != nil {
-		f.irqHandle(48)
-	}
 }
 func (f *fakeGuest) ServicePeer()  {}
 func (f *fakeGuest) HasPeer() bool { return true }

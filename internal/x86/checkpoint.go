@@ -21,7 +21,7 @@ type CPUCheckpoint struct {
 	current        VMCS
 	shadowEnabled  bool
 	shadowVMCS     VMCS
-	shadowed       map[Field]bool
+	shadowed       *[NumFields]bool
 	posted         []int
 	pendingIRQ     []int
 	inIRQ          bool
@@ -114,7 +114,6 @@ type vcpuCheckpoint struct {
 	injectVec  uint64
 	shadowEPT  *mmu.TablesCheckpoint
 	irqHandler func(vector int)
-	irqCount   uint64
 }
 
 func (s *Stack) hypList() []*Hypervisor {
@@ -181,7 +180,6 @@ func checkpointVM(vm *VM) vmCheckpoint {
 		}
 		if v.Guest != nil {
 			vc.irqHandler = v.Guest.irqHandler
-			vc.irqCount = v.Guest.IRQCount
 		}
 		cp.vcpus = append(cp.vcpus, vc)
 	}
@@ -260,7 +258,6 @@ func restoreVM(vm *VM, cp *vmCheckpoint) {
 		}
 		if v.Guest != nil {
 			v.Guest.irqHandler = vc.irqHandler
-			v.Guest.IRQCount = vc.irqCount
 		}
 	}
 }

@@ -139,7 +139,7 @@ type CPU struct {
 	// hypervisor (VMCS shadowing, Section 8).
 	shadowEnabled bool
 	shadowVMCS    VMCS
-	shadowed      map[Field]bool
+	shadowed      *[NumFields]bool
 
 	// EPT resolves guest physical addresses (installed by the machine).
 	EPT EPTResolver
@@ -226,7 +226,7 @@ func (c *CPU) SetGuestLevel(l int) {
 func (c *CPU) CurrentVMCS() VMCS { return c.current }
 
 // SetShadow configures VMCS shadowing for the next guest (root mode only).
-func (c *CPU) SetShadow(enabled bool, shadow VMCS, bitmap map[Field]bool) {
+func (c *CPU) SetShadow(enabled bool, shadow VMCS, bitmap *[NumFields]bool) {
 	if c.nonRoot {
 		panic("x86: SetShadow in non-root mode")
 	}

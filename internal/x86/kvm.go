@@ -120,7 +120,6 @@ type GuestCtx struct {
 	VCPU *VCPU
 
 	irqHandler func(vector int)
-	IRQCount   uint64
 }
 
 var _ IRQSink = (*GuestCtx)(nil)
@@ -152,14 +151,13 @@ func (g *GuestCtx) RAMWrite64(off uint64, v uint64) {
 // SendIPI sends an IPI through the local APIC ICR.
 func (g *GuestCtx) SendIPI(target, vector int) { g.CPU.APICWriteICR(target, vector) }
 
-// OnIRQ registers the guest kernel's interrupt handler.
+// OnIRQ installs an interrupt observer (nil removes it).
 func (g *GuestCtx) OnIRQ(fn func(vector int)) { g.irqHandler = fn }
 
 // HandleIRQ implements IRQSink: APICv delivers, the guest handles and EOIs
 // without an exit.
 func (g *GuestCtx) HandleIRQ(c *CPU, vector int) {
 	c.Work(40)
-	g.IRQCount++
 	if g.irqHandler != nil {
 		g.irqHandler(vector)
 	}

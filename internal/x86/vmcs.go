@@ -150,14 +150,13 @@ func (v VMCS) Write(m *mem.Memory, f Field, val uint64) { m.MustWrite64(v.Slot(f
 // shadowing is enabled (Intel's optimization, Section 8). A few fields —
 // the ones KVM must always intercept — remain unshadowed, which is why even
 // with shadowing a handful of exits per nested operation remain (Table 7).
-func DefaultShadowBitmap() map[Field]bool {
-	shadowed := make(map[Field]bool, NumFields)
-	for f := FieldInvalid + 1; Field(f) < numFields; f++ {
-		shadowed[f] = true
+// The bitmap is built once and shared by every CPU: do not modify it.
+func DefaultShadowBitmap() *[NumFields]bool { return &defaultShadowBitmap }
+
+var defaultShadowBitmap = func() (shadowed [NumFields]bool) {
+	for f := FieldInvalid + 1; f < numFields; f++ {
+		// All but the always-intercepted fields.
+		shadowed[f] = f != EPTPointer && f != VMEntryIntrInfo && f != PostedIntrVector
 	}
-	// Always-intercepted fields.
-	shadowed[EPTPointer] = false
-	shadowed[VMEntryIntrInfo] = false
-	shadowed[PostedIntrVector] = false
 	return shadowed
-}
+}()

@@ -96,7 +96,6 @@ func (cp *vcpuCheckpoint) Wire(c *wire.Codec) {
 	wire.U64(c, &cp.x0)
 	wire.U64(c, &cp.injectVec)
 	wire.Ptr(c, &cp.shadowEPT, wire.Struct)
-	wire.U64(c, &cp.irqCount)
 }
 
 // wireVCPURef walks a pointer to one of h's vCPUs as its (VM, vCPU)
