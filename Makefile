@@ -7,7 +7,7 @@
 GO ?= go
 EXAMPLES := quickstart virtecho nestedboot recursive memcached
 
-.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke perfbench-test ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke profile
+.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke perfbench-test perfbench-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke profile
 
 FUZZ_TARGETS := FuzzDifferentialNVvsNEVE FuzzFaultPlanRecovery FuzzParsePlan
 FUZZTIME ?= 10s
@@ -50,13 +50,29 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./internal/fault/ || exit 1; \
 	done
 
-ci: vet fmt-check race examples-smoke fuzz-smoke perfbench-test bench-smoke bench-json benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke
+ci: vet fmt-check race examples-smoke fuzz-smoke perfbench-test perfbench-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke smp-race smp-bench-smoke fleet-smoke
 
 # The benchmark module (perfbench/, its own go.mod) is outside the root
 # module, so `go test ./...` above skips it: run its per-cell digest
 # checks here.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+# Every benchmark workload end to end through its own entry point, once
+# untraced and once traced, for one second each: perfbench-test only
+# compiles the module and checks digests, so a run that exits non-zero
+# (a failed span dump, a missing simulator export) or reports
+# "correct": false shows up here first.
+PERFBENCH_WORKLOADS := fig2 fig2-guarded micro smp-storm
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do for tr in 0 1; do \
+		out="$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$tr 2>&1)"; rc=$$?; \
+		if [ $$rc != 0 ] || ! echo "$$out" | tail -1 | grep -q '"correct": *true'; then \
+			echo "$$out"; echo "perfbench $$w trace=$$tr failed (exit $$rc)"; exit 1; \
+		fi; \
+		echo "perfbench $$w trace=$$tr ok"; \
+	done; done
 
 # Fleet orchestrator gate: a small sweep across 2 worker processes with
 # a crash injected mid-sweep (worker 0 dies holding its 2nd cell, is

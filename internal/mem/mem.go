@@ -12,9 +12,16 @@
 // so most accesses resolve with one comparison and no map hashing. Pages
 // above the directory's reach (≥ 4 GiB, which only synthetic test
 // addresses hit) fall back to a sparse map.
+//
+// Words are little-endian. The 64- and 32-bit accessors load and store a
+// whole word at a time from the resolved page; Copy moves a page-local
+// run of bytes in one transfer (one bounds check per side, one Tap) for
+// modeled hardware that saves or restores a block of state at once, such
+// as the x86 VMCS guest-state area on VM transitions.
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -248,12 +255,7 @@ func (m *Memory) Read64(a Addr) (uint64, error) {
 	if p == nil {
 		return 0, nil // unwritten memory reads as zero
 	}
-	off := a.PageOff()
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(p[off+uint64(i)]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(p[a.PageOff():]), nil
 }
 
 // Write64 writes a naturally aligned 64-bit little-endian value.
@@ -264,14 +266,7 @@ func (m *Memory) Write64(a Addr, v uint64) error {
 	if err := m.check(a, 8); err != nil {
 		return err
 	}
-	p, shared := m.pageShared(a, true)
-	if shared {
-		p = m.unshare(a.PageBase(), p)
-	}
-	off := a.PageOff()
-	for i := 0; i < 8; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(m.writable(a)[a.PageOff():], v)
 	return nil
 }
 
@@ -287,12 +282,7 @@ func (m *Memory) Read32(a Addr) (uint32, error) {
 	if p == nil {
 		return 0, nil
 	}
-	off := a.PageOff()
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(p[off+uint64(i)]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint32(p[a.PageOff():]), nil
 }
 
 // Write32 writes a naturally aligned 32-bit little-endian value.
@@ -303,15 +293,53 @@ func (m *Memory) Write32(a Addr, v uint32) error {
 	if err := m.check(a, 4); err != nil {
 		return err
 	}
+	binary.LittleEndian.PutUint32(m.writable(a)[a.PageOff():], v)
+	return nil
+}
+
+// Copy copies the n-byte run at src to dst, as one bulk transfer: each
+// side is checked once (a run may not cross a page or the memory limit),
+// Tap fires once, the destination page is allocated and, if a Snapshot
+// shares it, unshared exactly as by Write64, and a never-written source
+// copies as zeros. Overlapping runs copy as if through a temporary
+// buffer. The result is the same as n/8 Read64/Write64 pairs over an
+// aligned run; it models hardware moving a block of state in one
+// operation (the VMCS guest-state save/restore on x86 transitions).
+func (m *Memory) Copy(dst, src Addr, n int) error {
+	if m.Tap != nil {
+		m.Tap()
+	}
+	if err := m.check(src, n); err != nil {
+		return err
+	}
+	if err := m.check(dst, n); err != nil {
+		return err
+	}
+	from := m.page(src, false)
+	to := m.writable(dst)[dst.PageOff():][:n]
+	if from == nil {
+		clear(to)
+		return nil
+	}
+	copy(to, from[src.PageOff():])
+	return nil
+}
+
+// MustCopy is Copy panicking on error.
+func (m *Memory) MustCopy(dst, src Addr, n int) {
+	if err := m.Copy(dst, src, n); err != nil {
+		panic(err)
+	}
+}
+
+// writable returns the page containing a for writing: allocated if never
+// written, and private to this Memory if a Snapshot shared it.
+func (m *Memory) writable(a Addr) *page {
 	p, shared := m.pageShared(a, true)
 	if shared {
 		p = m.unshare(a.PageBase(), p)
 	}
-	off := a.PageOff()
-	for i := 0; i < 4; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
-	}
-	return nil
+	return p
 }
 
 // MustRead64 is Read64 panicking on error; used by modeled hardware paths

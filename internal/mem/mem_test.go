@@ -143,3 +143,99 @@ func TestPopulatedPagesSorted(t *testing.T) {
 		}
 	}
 }
+
+func TestWordLayoutLittleEndian(t *testing.T) {
+	m := New(0)
+	m.MustWrite64(0x3000, 0x1122334455667788)
+	if lo, err := m.Read32(0x3000); err != nil || lo != 0x55667788 {
+		t.Fatalf("low word = %#x, %v; want 0x55667788", lo, err)
+	}
+	if hi, err := m.Read32(0x3004); err != nil || hi != 0x11223344 {
+		t.Fatalf("high word = %#x, %v; want 0x11223344", hi, err)
+	}
+}
+
+func TestWrite32ChangesOnlyItsBytes(t *testing.T) {
+	m := New(0)
+	m.MustWrite64(0x3000, 0xffff_ffff_ffff_ffff)
+	m.MustWrite64(0x3008, 0xeeee_eeee_eeee_eeee)
+	if err := m.Write32(0x3004, 0x01020304); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MustRead64(0x3000); got != 0x01020304_ffffffff {
+		t.Fatalf("word = %#x, want 0x01020304ffffffff", got)
+	}
+	if got := m.MustRead64(0x3008); got != 0xeeee_eeee_eeee_eeee {
+		t.Fatalf("next word = %#x, want it untouched", got)
+	}
+}
+
+func TestCopyMatchesWordLoop(t *testing.T) {
+	m := New(0)
+	for i := uint64(0); i < 8; i++ {
+		m.MustWrite64(0x4000+Addr(i*8), 0x0101_0101_0101_0101*(i+1))
+	}
+	m.MustWrite64(0x5038, 0x77) // just past the destination run
+	m.MustCopy(0x5000, 0x4008, 7*8)
+	for i := uint64(0); i < 7; i++ {
+		if got, want := m.MustRead64(0x5000+Addr(i*8)), m.MustRead64(0x4008+Addr(i*8)); got != want {
+			t.Fatalf("word %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if got := m.MustRead64(0x5038); got != 0x77 {
+		t.Fatalf("word past the run = %#x, want 0x77 untouched", got)
+	}
+}
+
+func TestCopyFromUnwrittenWritesZeros(t *testing.T) {
+	m := New(0)
+	m.MustWrite64(0x6010, 0xdead)
+	m.MustWrite64(0x6018, 0xbeef)
+	if err := m.Copy(0x6010, 0x9000, 16); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := m.MustRead64(0x6010), m.MustRead64(0x6018); a != 0 || b != 0 {
+		t.Fatalf("copied %#x, %#x from an unwritten page, want zeros", a, b)
+	}
+	// The destination page of a zero copy is allocated, as Write64 of a
+	// zero would allocate it; the source stays unwritten.
+	m.MustCopy(0xa000, 0x9000, 8)
+	if got := m.PopulatedPages(); len(got) != 2 || got[0] != 0x6000 || got[1] != 0xa000 {
+		t.Fatalf("populated = %#x, want [0x6000 0xa000]", got)
+	}
+}
+
+func TestCopyRejectsBadRuns(t *testing.T) {
+	m := New(1 << 20)
+	for _, c := range []struct {
+		dst, src Addr
+		n        int
+	}{
+		{0x2000, 0x1ff8, 16},           // source crosses a page
+		{0x1ff8, 0x2000, 16},           // destination crosses a page
+		{1<<20 - 8, 0x2000, 16},        // destination past the limit
+		{0x2000, 1<<20 - 8, 16},        // source past the limit
+		{0x2000, 0x3000, 0},            // empty run
+		{0x2000, 0x3000, -8},           // negative run
+		{0x2000, 0x3000, PageSize + 8}, // longer than a page
+	} {
+		err := m.Copy(c.dst, c.src, c.n)
+		if _, ok := err.(*ErrBadAddress); !ok {
+			t.Errorf("Copy(%#x, %#x, %d) = %v, want *ErrBadAddress", uint64(c.dst), uint64(c.src), c.n, err)
+		}
+	}
+	if got := m.PopulatedPages(); len(got) != 0 {
+		t.Fatalf("rejected copies populated %#x", got)
+	}
+}
+
+func TestCopyFiresTapOnce(t *testing.T) {
+	m := New(0)
+	m.MustWrite64(0x1000, 1)
+	taps := 0
+	m.Tap = func() { taps++ }
+	m.MustCopy(0x2000, 0x1000, 21*8)
+	if taps != 1 {
+		t.Fatalf("Tap fired %d times for one copy, want 1", taps)
+	}
+}

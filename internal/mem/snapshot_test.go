@@ -148,3 +148,26 @@ func TestPopulatedPagesSortedAndDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestCopyUnsharesDestination(t *testing.T) {
+	m := New(0)
+	src, dst := m.AllocPage(), m.AllocPage()
+	m.MustWrite64(src, 0x5555)
+	m.MustWrite64(dst, 0xaaaa)
+	s := m.Snapshot()
+
+	m.MustCopy(dst, src, 8)
+	if got := m.MustRead64(dst); got != 0x5555 {
+		t.Fatalf("live destination = %#x, want the copied 0x5555", got)
+	}
+	m.Restore(s)
+	if got := m.MustRead64(dst); got != 0xaaaa {
+		t.Fatalf("snapshot destination = %#x after a copy, want 0xaaaa", got)
+	}
+	// A copy within one shared page unshares it too.
+	m.MustCopy(src+8, src, 8)
+	m.Restore(s)
+	if got := m.MustRead64(src + 8); got != 0 {
+		t.Fatalf("snapshot source page = %#x after an in-page copy, want 0", got)
+	}
+}

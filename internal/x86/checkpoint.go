@@ -145,8 +145,8 @@ func (s *Stack) Checkpoint() *StackCheckpoint {
 
 func checkpointHyp(h *Hypervisor) hypCheckpoint {
 	cp := hypCheckpoint{loaded: append([]loadedCtx(nil), h.loaded...)}
-	if h.pendingFwd != nil {
-		f := *h.pendingFwd
+	if h.pendingFwd.child != nil {
+		f := h.pendingFwd
 		cp.pendingFwd = &f
 	}
 	for _, vm := range h.VMs {
@@ -213,11 +213,9 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 
 func restoreHyp(h *Hypervisor, cp *hypCheckpoint) {
 	copy(h.loaded, cp.loaded)
-	if cp.pendingFwd == nil {
-		h.pendingFwd = nil
-	} else {
-		f := *cp.pendingFwd
-		h.pendingFwd = &f
+	h.pendingFwd = fwd{}
+	if cp.pendingFwd != nil {
+		h.pendingFwd = *cp.pendingFwd
 	}
 	if len(h.VMs) != len(cp.vms) {
 		panic(fmt.Sprintf("x86[%s]: restore across VM topologies (%d VMs vs %d)", h.Cfg.Name, len(h.VMs), len(cp.vms)))

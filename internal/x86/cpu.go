@@ -381,9 +381,7 @@ func (c *CPU) Tick(n uint64) {
 		c.HookTick(c, n)
 	}
 	for len(c.pendingIRQ) > 0 && c.nonRoot {
-		v := c.pendingIRQ[0]
-		c.pendingIRQ = c.pendingIRQ[1:]
-		c.exitE(Exit{Reason: ExitExternalInt, Vector: v})
+		c.exitE(Exit{Reason: ExitExternalInt, Vector: popFront(&c.pendingIRQ)})
 	}
 	c.deliverPosted()
 }
@@ -393,13 +391,23 @@ func (c *CPU) deliverPosted() {
 		return
 	}
 	for len(c.posted) > 0 {
-		v := c.posted[0]
-		c.posted = c.posted[1:]
+		v := popFront(&c.posted)
 		c.cycles += c.Cost.APICVirt // posted-interrupt delivery
 		c.inIRQ = true
 		c.IRQ.HandleIRQ(c, v)
 		c.inIRQ = false
 	}
+}
+
+// popFront removes and returns the head of a vector queue, shifting the
+// rest down so the backing array is reused by later appends instead of
+// shrinking from the front and regrowing. The queues hold a few vectors
+// at most, and the queue state lives in the slice header, so a handler
+// that re-enters a drain loop sees the same queue.
+func popFront(q *[]int) int {
+	v := (*q)[0]
+	*q = (*q)[:copy(*q, (*q)[1:])]
+	return v
 }
 
 // exit takes a VM exit to root mode and resumes the guest context the host

@@ -66,6 +66,8 @@ type loadedCtx struct {
 	skipRIP bool
 }
 
+// fwd is an exit queued for forwarding to a guest hypervisor; a nil child
+// means none is queued.
 type fwd struct {
 	child *Hypervisor
 	exit  Exit
@@ -176,7 +178,8 @@ type Hypervisor struct {
 	VMs    []*VM
 	loaded []loadedCtx
 
-	pendingFwd *fwd
+	// pendingFwd is held by value so a forwarded exit never allocates.
+	pendingFwd fwd
 }
 
 // New creates a hypervisor; parent nil means host.
@@ -241,8 +244,8 @@ func (h *Hypervisor) handleExit(c *CPU, e *Exit) uint64 {
 	c.Work(workDispatch)
 	ret := h.dispatch(c, lc, e)
 	h.prepareEntry(c, lc)
-	if f := h.pendingFwd; f != nil {
-		h.pendingFwd = nil
+	if f := h.pendingFwd; f.child != nil {
+		h.pendingFwd = fwd{}
 		c.RunGuest(h.Level+1, func() { f.child.VectorEntry(c, &f.exit) })
 		return v.nestedVCPU().x0
 	}
@@ -430,22 +433,20 @@ func (h *Hypervisor) forward(c *CPU, lc *loadedCtx, e *Exit) {
 	if full {
 		c.Work(workForwardFull)
 		// Copy the coalesced guest state and exit info into vmcs12.
-		for _, f := range guestStateFields {
-			v.vmcs12.Write(h.Mem, f, v.vmcs.Read(h.Mem, f))
-		}
+		v.vmcs12.CopyRun(h.Mem, v.vmcs, guestStateFirst, guestStateLast)
 		c.MemOp(uint64(2 * len(guestStateFields)))
 	} else {
 		c.Work(workForwardInject)
 	}
-	for _, f := range []Field{ExitReason, ExitQualification, GuestPhysicalAddress, ExitIntrInfo, IdtVectoringInfo} {
-		v.vmcs12.Write(h.Mem, f, v.vmcs.Read(h.Mem, f))
-	}
+	// The exit information, minus VMInstructionError between its two runs.
+	v.vmcs12.CopyRun(h.Mem, v.vmcs, ExitReason, GuestPhysicalAddress)
+	v.vmcs12.CopyRun(h.Mem, v.vmcs, ExitIntrInfo, IdtVectoringInfo)
 	v.vmcs12.Write(h.Mem, ExitReason, uint64(e.Reason))
 	c.MemOp(10)
 	c.SetShadow(h.Cfg.Shadowing, v.vmcs12, DefaultShadowBitmap())
 	lc.mode = modeL1
 	lc.fullDirty = full
-	h.pendingFwd = &fwd{child: gh, exit: *e}
+	h.pendingFwd = fwd{child: gh, exit: *e}
 	c.SetGuestLevel(h.Level + 1)
 }
 
@@ -455,9 +456,7 @@ func (h *Hypervisor) merge(c *CPU, lc *loadedCtx) {
 	v := lc.vcpu
 	if lc.fullDirty {
 		c.Work(workMergeFull)
-		for _, f := range guestStateFields {
-			v.vmcs.Write(h.Mem, f, v.vmcs12.Read(h.Mem, f))
-		}
+		v.vmcs.CopyRun(h.Mem, v.vmcs12, guestStateFirst, guestStateLast)
 		c.MemOp(uint64(2 * len(guestStateFields)))
 	} else {
 		c.Work(workMergeInject)

@@ -3,22 +3,47 @@ package x86
 import (
 	"testing"
 
+	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/trace"
 )
+
+// seedFields writes a distinct value, base+f, into each field first..last.
+func seedFields(m *mem.Memory, v VMCS, base uint64, first, last Field) {
+	for f := first; f <= last; f++ {
+		v.Write(m, f, base+uint64(f))
+	}
+}
 
 func TestForwardCopiesGuestStateToVMCS12(t *testing.T) {
 	s := NewStack(StackOptions{Nested: true, Shadowing: true})
 	lv := s.VM.VCPUs[0]
-	// Seed recognizable guest state in the hardware VMCS (vmcs02).
-	lv.vmcs.Write(s.Mem, GuestCR3, 0xc3c3)
+	// Seed distinct values in the hardware VMCS (vmcs02) and different
+	// ones in vmcs12, in guest state, host state and exit information.
+	const hw, l1 = 0xa000, 0xb000
+	for _, run := range [][2]Field{{GuestRIP, HostIA32EFER}, {ExitReason, IdtVectoringInfo}} {
+		seedFields(s.Mem, lv.vmcs, hw, run[0], run[1])
+		seedFields(s.Mem, lv.vmcs12, l1, run[0], run[1])
+	}
 	s.RunGuest(0, func(g *GuestCtx) {
 		g.Hypercall()
 	})
-	if got := lv.vmcs12.Read(s.Mem, GuestCR3); got != 0xc3c3 {
-		t.Fatalf("vmcs12 GuestCR3 = %#x, want the forwarded 0xc3c3", got)
-	}
-	if got := lv.vmcs12.Read(s.Mem, ExitReason); got != uint64(ExitVMCall) {
-		t.Fatalf("vmcs12 ExitReason = %d, want vmcall", got)
+	for f := GuestRIP; f <= IdtVectoringInfo; f++ {
+		want := uint64(l1) + uint64(f) // not forwarded
+		switch {
+		case f == GuestRIP:
+			want = hw + uint64(f) + 3 // forwarded, then advanced by the guest hypervisor
+		case f == ExitReason:
+			want = uint64(ExitVMCall)
+		case f >= guestStateFirst && f <= guestStateLast,
+			f == ExitQualification, f == GuestPhysicalAddress,
+			f == ExitIntrInfo, f == IdtVectoringInfo:
+			want = hw + uint64(f)
+		case f >= PinBasedControls && f <= PostedIntrVector:
+			continue // programmed by the hypervisors on entry
+		}
+		if got := lv.vmcs12.Read(s.Mem, f); got != want {
+			t.Errorf("vmcs12 %v = %#x, want %#x", f, got, want)
+		}
 	}
 }
 
@@ -37,6 +62,33 @@ func TestMergeAppliesVMCS12Changes(t *testing.T) {
 	}
 	if rip02 == 0 {
 		t.Fatal("GuestRIP never advanced")
+	}
+
+	// A full merge folds every guest-state field of vmcs12 and nothing
+	// on either side of the run.
+	const hw, l1 = 0xa000, 0xb000
+	for _, v := range []struct {
+		vmcs VMCS
+		base uint64
+	}{{lv.vmcs, hw}, {lv.vmcs12, l1}} {
+		v.vmcs.Write(s.Mem, FieldInvalid, v.base)
+		seedFields(s.Mem, v.vmcs, v.base, guestStateFirst, HostIA32EFER)
+	}
+	c := s.CPUs[0]
+	lc := s.Host.cur(c)
+	lc.mode, lc.fullDirty = modeL1, true
+	s.Host.merge(c, lc)
+	if got := lv.vmcs.Read(s.Mem, FieldInvalid); got != hw {
+		t.Errorf("vmcs02 slot 0 = %#x, want %#x untouched", got, hw)
+	}
+	for f := guestStateFirst; f <= HostIA32EFER; f++ {
+		want := uint64(l1) + uint64(f)
+		if f > guestStateLast {
+			want = hw + uint64(f)
+		}
+		if got := lv.vmcs.Read(s.Mem, f); got != want {
+			t.Errorf("vmcs02 %v = %#x, want %#x", f, got, want)
+		}
 	}
 }
 

@@ -128,6 +128,14 @@ var guestStateFields = []Field{
 	GuestInterruptibility,
 }
 
+// The guest-state fields are the contiguous slot run
+// guestStateFirst..guestStateLast, which the model moves with one
+// VMCS.CopyRun per transition.
+const (
+	guestStateFirst = GuestRIP
+	guestStateLast  = GuestInterruptibility
+)
+
 // VMCS is one VM control structure, resident in simulated physical memory.
 type VMCS struct {
 	Base mem.Addr
@@ -144,6 +152,13 @@ func (v VMCS) Read(m *mem.Memory, f Field) uint64 { return m.MustRead64(v.Slot(f
 
 // Write writes a field directly.
 func (v VMCS) Write(m *mem.Memory, f Field, val uint64) { m.MustWrite64(v.Slot(f), val) }
+
+// CopyRun copies the fields first..last of src into v in one transfer
+// (hardware/internal use, no cycle charge): the same result as a Write of
+// each field's Read, as hardware's bulk VMCS save/restore moves them.
+func (v VMCS) CopyRun(m *mem.Memory, src VMCS, first, last Field) {
+	m.MustCopy(v.Slot(first), src.Slot(first), int(last-first+1)*8)
+}
 
 // DefaultShadowBitmap is the set of fields a shadow VMCS covers: guest
 // hypervisor vmread/vmwrite of these proceed without exiting when VMCS

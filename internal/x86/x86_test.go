@@ -229,12 +229,26 @@ func TestFieldNamesComplete(t *testing.T) {
 }
 
 func TestGuestStateFieldsAreGuestFields(t *testing.T) {
-	for _, f := range guestStateFields {
-		if f < GuestRIP || f > GuestInterruptibility {
-			t.Errorf("%v in guestStateFields is not guest state", f)
+	// forward and merge move guest state with one copy of the slot run
+	// guestStateFirst..guestStateLast: the list must be exactly that run,
+	// in slot order, so the copy moves every guest-state field and no
+	// other.
+	if guestStateFirst != GuestRIP || guestStateLast != GuestInterruptibility {
+		t.Fatalf("guest-state run = %v..%v, want GUEST_RIP..GUEST_INTERRUPTIBILITY", guestStateFirst, guestStateLast)
+	}
+	if n := int(guestStateLast-guestStateFirst) + 1; len(guestStateFields) != n {
+		t.Fatalf("guestStateFields has %d fields, the run %d", len(guestStateFields), n)
+	}
+	for i, f := range guestStateFields {
+		if want := guestStateFirst + Field(i); f != want {
+			t.Errorf("guestStateFields[%d] = %v, want %v", i, f, want)
 		}
 	}
-	if len(guestStateFields) < 15 {
-		t.Errorf("guest state bulk = %d fields, implausibly small", len(guestStateFields))
+	// The exit information copies as two runs around VM_INSTRUCTION_ERROR.
+	if GuestPhysicalAddress+1 != VMInstructionError || VMInstructionError+1 != ExitIntrInfo {
+		t.Error("VM_INSTRUCTION_ERROR no longer separates the two exit-information runs")
+	}
+	if ExitReason+2 != GuestPhysicalAddress || ExitIntrInfo+1 != IdtVectoringInfo {
+		t.Error("the exit-information runs are no longer contiguous")
 	}
 }
