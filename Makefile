@@ -170,10 +170,13 @@ benchdiff-smoke:
 	echo "benchdiff $$latest $$latest"; \
 	$(GO) run ./cmd/benchdiff "$$latest" "$$latest"
 
-# Capture pprof profiles of the full suite run; see EXPERIMENTS.md
+# Capture pprof profiles of the full suite run and of the SMP storm
+# sweep (interpreted only: SMP runs detach the trace-JIT); see EXPERIMENTS.md
 # ("Profiling") for how to read them.
 profile:
 	$(GO) run ./cmd/nevesim bench -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof and mem.pprof; inspect with:"
+	$(GO) run ./cmd/nevesim smp -profile storm -cpuprofile smp.cpu.pprof >/dev/null
+	@echo "wrote cpu.pprof, mem.pprof and smp.cpu.pprof; inspect with:"
 	@echo "  $(GO) tool pprof -top cpu.pprof"
+	@echo "  $(GO) tool pprof -top smp.cpu.pprof"
 	@echo "  $(GO) tool pprof -top -sample_index=alloc_objects mem.pprof"

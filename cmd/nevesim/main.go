@@ -20,7 +20,8 @@
 //	                   BENCH_<date>-smp[-adaptive].json, -cpus N restricts
 //	                   the sweep to configurations of that machine width,
 //	                   -profile to one workload, -budget N fixes the epoch
-//	                   budget (0 = adaptive auto-tuning)
+//	                   budget (0 = adaptive auto-tuning), -cpuprofile
+//	                   captures a pprof CPU profile of the sweep
 //	nevesim run        microbenchmark one configuration: -config <name|axes>;
 //	                   -faults <plan> injects seeded faults, -max-traps/
 //	                   -max-steps attach watchdog budgets (non-zero exit
@@ -160,19 +161,7 @@ func benchReport(h bench.Harness, args []string) {
 	memProf := fs.String("memprofile", "", "write a heap profile to this file")
 	fs.Parse(args)
 	h.ColdBoot = *coldBoot
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nevesim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "nevesim:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
+	defer startCPUProfile(*cpuProf)()
 	r := h.RunBenchReport()
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
@@ -198,6 +187,27 @@ func benchReport(h bench.Harness, args []string) {
 	}
 }
 
+// startCPUProfile starts a pprof CPU profile written to path and returns
+// the function that stops it; an empty path profiles nothing.
+func startCPUProfile(path string) func() {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nevesim:", err)
+		os.Exit(1)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fmt.Fprintln(os.Stderr, "nevesim:", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}
+}
+
 // smpReport runs the SMP scale-out sweep (internal/bench RunSMPReportOpts):
 // every cell sequential then parallel on the epoch-lockstep engine, with
 // the byte-equivalence verdict per cell. -cpus restricts the sweep to
@@ -205,14 +215,17 @@ func benchReport(h bench.Harness, args []string) {
 // profile. -budget N fixes the epoch budget (the sensitivity axis); 0,
 // the default, selects adaptive auto-tuning. -json writes
 // BENCH_<date>-smp[-adaptive].json for cross-PR tracking via benchdiff's
-// -smp-threshold. Exits non-zero if any cell diverges — the sweep doubles
-// as a determinism gate, not just a benchmark.
+// -smp-threshold. -cpuprofile writes a pprof CPU profile of the sweep
+// (`make profile` takes smp.cpu.pprof this way). Exits non-zero if any
+// cell diverges — the sweep doubles as a determinism gate, not just a
+// benchmark.
 func smpReport(h bench.Harness, args []string) {
 	fs := flag.NewFlagSet("smp", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "write BENCH_<date>-smp[-adaptive].json")
 	cpus := fs.Int("cpus", 0, "restrict the sweep to configurations with this vCPU count (0 = all)")
 	budget := fs.Uint64("budget", 0, "epoch budget in guest cycles (0 = adaptive auto-tuning)")
 	profile := fs.String("profile", "", "restrict the sweep to this workload profile (default all)")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	fs.Parse(args)
 	opts := bench.SMPSweepOptions{Budget: *budget, Adaptive: *budget == 0}
 	if *profile != "" {
@@ -244,7 +257,9 @@ func smpReport(h bench.Harness, args []string) {
 		}
 		specs = kept
 	}
+	stopProfile := startCPUProfile(*cpuProf)
 	r := h.RunSMPReportOpts(specs, opts)
+	stopProfile()
 	fmt.Print(bench.FormatSMPReport(r))
 	diverged := false
 	for _, c := range r.SMPCells {

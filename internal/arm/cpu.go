@@ -34,7 +34,9 @@ type SysRegDevice interface {
 // may ever handle, so the per-access dispatch indexes straight to the
 // interested devices. A device that does not implement it is dispatched on
 // every Device-flagged register (the pre-table behavior); either way the
-// handled result still decides at access time.
+// handled result still decides at access time. Claims are limited to
+// Device-flagged registers, so that flag alone tells which elements of a
+// CtxSeq a device may intercept.
 type SysRegClaimer interface {
 	SysRegClaims() []SysReg
 }
@@ -57,9 +59,10 @@ type CPU struct {
 	NV2 NV2Engine
 	// NV2Pages resolves a deferred access page base address to the tracked
 	// register store backing it, or nil for a page that only exists as raw
-	// memory. The machine model binds it to the hypervisor's page registry;
-	// the NEVE engine consults it on every deferred access so page traffic
-	// stays inside the trace-JIT replay guard instead of poisoning it.
+	// memory. The machine model binds it to the hypervisor's page registry
+	// before the core runs; the NEVE engine resolves deferred accesses
+	// through NV2Store, so page traffic stays inside the trace-JIT replay
+	// guard instead of poisoning it.
 	NV2Pages func(base mem.Addr) RegStore
 	// Bus claims device physical addresses.
 	Bus PhysBus
@@ -129,6 +132,13 @@ type CPU struct {
 	regsFID   jit.FileID
 	stTap     *jit.FileTap
 	irqTap    *jit.QueueTap
+
+	// nv2Base and nv2Store remember the last page NV2Store resolved to a
+	// registered store. A base is registered once, with one store, so the
+	// pair stays valid for the core's lifetime; an unregistered base is
+	// never remembered.
+	nv2Base  mem.Addr
+	nv2Store RegStore
 }
 
 // maxTrapDepth bounds the pooled trap nesting (recursive virtualization
@@ -154,6 +164,9 @@ func (c *CPU) AddDevice(d SysRegDevice) {
 	c.devices = append(c.devices, d)
 	if cl, ok := d.(SysRegClaimer); ok {
 		for _, r := range cl.SysRegClaims() {
+			if !Info(r).Device {
+				panic(fmt.Sprintf("arm: device claims %s, which has no device semantics", r))
+			}
 			c.devTable[r] = append(c.devTable[r], d)
 			c.devMask[r] = true
 		}
@@ -448,6 +461,24 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		}
 		return c.raw(r, write, wval)
 	}
+}
+
+// NV2Store returns the tracked store backing the deferred access page at
+// base, or nil for a page that only exists as raw memory. The NEVE engine
+// calls it on every deferred access; the registry lookup behind NV2Pages
+// runs only when VNCR_EL2 names a different page than last time.
+func (c *CPU) NV2Store(base mem.Addr) RegStore {
+	if c.nv2Store != nil && c.nv2Base == base {
+		return c.nv2Store
+	}
+	if c.NV2Pages == nil {
+		return nil
+	}
+	st := c.NV2Pages(base)
+	if st != nil {
+		c.nv2Base, c.nv2Store = base, st
+	}
+	return st
 }
 
 // nv2Access hands an access to the NEVE engine through the staging slot

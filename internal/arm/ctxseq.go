@@ -26,9 +26,22 @@ import (
 type CtxSeq struct {
 	regs  []SysReg
 	slots []SysReg
+	// el2 is the native-EL2 form of the sequence, indexed by HCR_EL2.E2H:
+	// element i's effective storage register (alias resolution and VHE
+	// redirection folded in) and saved-file slot, resolved once here.
+	el2 [2][]seqOp
 	// vheOnly marks a sequence containing ARMv8.1 encodings; accessed on a
 	// CPU without FEAT_VHE it must fault like the individual instruction.
 	vheOnly bool
+}
+
+// seqOp is one element of a sequence's native-EL2 form. dev marks an
+// effective register with device semantics: only those may be claimed by
+// a device (AddDevice enforces it), so every other element is a plain
+// storage move.
+type seqOp struct {
+	eff, slot SysReg
+	dev       bool
 }
 
 // NewCtxSeq builds a sequence; element i accesses encoding regs[i] and
@@ -39,13 +52,17 @@ func NewCtxSeq(regs, slots []SysReg) *CtxSeq {
 		panic(fmt.Sprintf("arm: CtxSeq regs/slots length mismatch (%d vs %d)", len(regs), len(slots)))
 	}
 	seq := &CtxSeq{regs: regs, slots: slots}
-	for _, r := range regs {
+	for i, r := range regs {
 		info := Info(r)
 		if info.ReadOnly || info.WriteOnly {
 			panic(fmt.Sprintf("arm: CtxSeq register %s is not read-write", r))
 		}
 		if info.VHEOnly {
 			seq.vheOnly = true
+		}
+		for b := range seq.el2 {
+			eff := effEL2[b][r]
+			seq.el2[b] = append(seq.el2[b], seqOp{eff: eff, slot: slots[i], dev: Info(eff).Device})
 		}
 	}
 	return seq
@@ -64,10 +81,25 @@ func (c *CPU) seqRec(store *[NumSysRegs]uint64) (*jit.Engine, jit.FileID) {
 	return nil, 0
 }
 
+// nativeOps returns the sequence's native-EL2 form for the live
+// HCR_EL2.E2H, or nil when the sequence must run instruction by
+// instruction: deprivileged, or using VHE encodings on a CPU without
+// FEAT_VHE.
+func (c *CPU) nativeOps(seq *CtxSeq) []seqOp {
+	if c.EL() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+		return nil
+	}
+	if c.hcrRead()&HCRE2H != 0 {
+		return seq.el2[1]
+	}
+	return seq.el2[0]
+}
+
 // SaveSeq reads the sequence into store (store[slots[i]] = MRS(regs[i])).
 func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.EL() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	ops := c.nativeOps(seq)
+	if ops == nil {
 		for i, r := range seq.regs {
 			v := c.MRS(r)
 			if rec != nil {
@@ -77,32 +109,34 @@ func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 		}
 		return
 	}
-	b := 0
-	if c.hcrRead()&HCRE2H != 0 {
-		b = 1
-	}
-	for i, r := range seq.regs {
-		eff := effEL2[b][r]
-		c.cycles += c.Cost.SysReg
-		if c.devMask[eff] {
+	// The clock is kept in a local and published only around a device
+	// access, which may read it.
+	cyc, cost := c.cycles, c.Cost.SysReg
+	for _, o := range ops {
+		cyc += cost
+		if o.dev && c.devMask[o.eff] {
+			c.cycles = cyc
 			if rec != nil {
-				rec.FileWrite(fid, int(seq.slots[i]))
+				rec.FileWrite(fid, int(o.slot))
 			}
-			store[seq.slots[i]] = c.raw(eff, false, 0)
+			store[o.slot] = c.raw(o.eff, false, 0)
+			cyc = c.cycles
 			continue
 		}
 		if rec != nil {
-			rec.FileRead(c.regsFID, int(eff))
-			rec.FileWrite(fid, int(seq.slots[i]))
+			rec.FileRead(c.regsFID, int(o.eff))
+			rec.FileWrite(fid, int(o.slot))
 		}
-		store[seq.slots[i]] = c.regs[eff]
+		store[o.slot] = c.regs[o.eff]
 	}
+	c.cycles = cyc
 }
 
 // LoadSeq writes the sequence from store (MSR(regs[i], store[slots[i]])).
 func (c *CPU) LoadSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.EL() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	ops := c.nativeOps(seq)
+	if ops == nil {
 		for i, r := range seq.regs {
 			if rec != nil {
 				rec.FileRead(fid, int(seq.slots[i]))
@@ -111,23 +145,22 @@ func (c *CPU) LoadSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 		}
 		return
 	}
-	b := 0
-	if c.hcrRead()&HCRE2H != 0 {
-		b = 1
-	}
-	for i, r := range seq.regs {
-		eff := effEL2[b][r]
-		c.cycles += c.Cost.SysReg
+	cyc, cost := c.cycles, c.Cost.SysReg
+	for _, o := range ops {
+		cyc += cost
 		if rec != nil {
-			rec.FileRead(fid, int(seq.slots[i]))
+			rec.FileRead(fid, int(o.slot))
 		}
-		if c.devMask[eff] {
-			c.raw(eff, true, store[seq.slots[i]])
+		if o.dev && c.devMask[o.eff] {
+			c.cycles = cyc
+			c.raw(o.eff, true, store[o.slot])
+			cyc = c.cycles
 			continue
 		}
 		if rec != nil {
-			rec.FileWrite(c.regsFID, int(eff))
+			rec.FileWrite(c.regsFID, int(o.eff))
 		}
-		c.regs[eff] = store[seq.slots[i]]
+		c.regs[o.eff] = store[o.slot]
 	}
+	c.cycles = cyc
 }

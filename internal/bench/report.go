@@ -153,17 +153,17 @@ func (h Harness) RunSMPReportOpts(names []string, opts SMPSweepOptions) Report {
 func FormatSMPReport(r Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SMP scale-out report (%s)\n", r.Date)
-	fmt.Fprintf(&b, "%-8s %-12s %6s %8s %10s %10s %9s %8s %8s %10s %9s %6s\n",
+	fmt.Fprintf(&b, "%-8s %-12s %6s %8s %10s %10s %9s %8s %8s %10s %9s %9s %6s\n",
 		"config", "profile", "vcpus", "budget", "seq ms", "par ms", "speedup",
-		"epochs", "distops", "contention", "barr ms", "ident")
+		"epochs", "distops", "contention", "barr ms", "merge ms", "ident")
 	for _, c := range r.SMPCells {
 		budget := fmt.Sprintf("%d", c.FinalBudget)
 		if c.Adaptive {
 			budget = "a:" + budget
 		}
-		fmt.Fprintf(&b, "%-8s %-12s %6d %8s %10.2f %10.2f %8.2fx %8d %8d %10d %9.2f %6v\n",
+		fmt.Fprintf(&b, "%-8s %-12s %6d %8s %10.2f %10.2f %8.2fx %8d %8d %10d %9.2f %9.2f %6v\n",
 			c.Config, c.Profile, c.VCPUs, budget, c.SeqWallMS, c.ParWallMS, c.SpeedupX,
-			c.Epochs, c.DistOps, c.Contention, c.BarrierWaitMS, c.Identical)
+			c.Epochs, c.DistOps, c.Contention, c.BarrierWaitMS, c.MergeMS, c.Identical)
 	}
 	fmt.Fprintf(&b, "total    %10.1f ms\n", r.TotalWallMS)
 	return b.String()

@@ -76,9 +76,15 @@ type SMPCell struct {
 	DistOps    uint64 `json:"dist_ops"`
 	Contention uint64 `json:"contention"`
 	// BarrierWaitMS is the wall clock the parallel run's coordinator
-	// spent waiting at epoch-end barriers: the synchronization share of
-	// ParWallMS.
+	// spent from releasing each parallel epoch until every vCPU parked
+	// again: the epoch's segment execution plus the handshake, not the
+	// synchronization cost alone.
 	BarrierWaitMS float64 `json:"barrier_wait_ms"`
+	// MergeMS is the wall clock the parallel run's coordinator spent in
+	// the serialized epoch merges (parked operations, the distributor
+	// merge, exit epilogues). ParWallMS minus BarrierWaitMS and MergeMS
+	// is mostly the serialized context-chain entry.
+	MergeMS float64 `json:"merge_ms"`
 }
 
 // smpPrograms adapts a workload SMP profile to the kvm engine.
@@ -97,9 +103,9 @@ type smpFingerprint struct {
 	stats  kvm.SMPStats
 	cycles []uint64
 	traps  uint64
-	// barrierWait rides along for reporting; equivalent() ignores it (a
-	// host-side measurement, not guest-visible state).
-	barrierWait time.Duration
+	// barrierWait and merge ride along for reporting; equivalent()
+	// ignores them (host-side measurements, not guest-visible state).
+	barrierWait, merge time.Duration
 }
 
 func runSMPCell(spec platform.Spec, p workload.SMPProfile, parallel bool, opts SMPSweepOptions) (smpFingerprint, time.Duration) {
@@ -117,6 +123,7 @@ func runSMPCell(spec platform.Spec, p workload.SMPProfile, parallel bool, opts S
 		stats:       stats,
 		traps:       s.M.Trace.Total(),
 		barrierWait: s.LastSMPBarrierWait(),
+		merge:       s.LastSMPMergeTime(),
 	}
 	for _, c := range s.M.CPUs {
 		fp.cycles = append(fp.cycles, c.Cycles())
@@ -169,6 +176,7 @@ func (h Harness) RunSMPSweepOpts(names []string, opts SMPSweepOptions) []SMPCell
 				DistOps:       par.stats.DistOps,
 				Contention:    par.stats.Contention,
 				BarrierWaitMS: float64(par.barrierWait.Microseconds()) / 1000,
+				MergeMS:       float64(par.merge.Microseconds()) / 1000,
 			}
 			if parWall > 0 {
 				cell.SpeedupX = seqWall.Seconds() / parWall.Seconds()

@@ -25,29 +25,30 @@ type Engine struct {
 
 var _ arm.NV2Engine = Engine{}
 
-// Access implements arm.NV2Engine.
+// Access implements arm.NV2Engine. VNCR_EL2 is read once and the
+// register's rule is taken by pointer; both travel down to the access.
 func (e Engine) Access(c *arm.CPU, r arm.SysReg, write bool, val *uint64) arm.NV2Outcome {
 	vncr := c.Reg(arm.VNCR_EL2)
 	if !Enabled(vncr) {
 		return arm.NV2Trap
 	}
-	rule := resolveRule(r)
+	rule := &resolved[r]
 	switch rule.Treatment {
 	case TreatVNCR:
 		if e.DisableDefer {
 			return arm.NV2Trap
 		}
-		return pageAccess(c, rule, write, val)
+		return pageAccess(c, vncr, rule.Reg, write, val)
 	case TreatRedirect:
 		if e.DisableRedirect {
 			return arm.NV2Trap
 		}
-		return redirectAccess(c, rule, write, val)
+		return redirectAccess(c, rule.Redirect, write, val)
 	case TreatTrapOnWrite:
 		if write || e.DisableCached {
 			return arm.NV2Trap
 		}
-		return pageAccess(c, rule, false, val)
+		return pageAccess(c, vncr, rule.Reg, false, val)
 	case TreatRedirectOrTrap:
 		// TCR_EL2 and TTBR0_EL2 share the EL1 format only under VHE
 		// (Table 4). The guest hypervisor's virtual HCR_EL2 is itself
@@ -58,12 +59,12 @@ func (e Engine) Access(c *arm.CPU, r arm.SysReg, write bool, val *uint64) arm.NV
 			if e.DisableRedirect {
 				return arm.NV2Trap
 			}
-			return redirectAccess(c, rule, write, val)
+			return redirectAccess(c, rule.Redirect, write, val)
 		}
 		if write || e.DisableCached {
 			return arm.NV2Trap
 		}
-		return pageAccess(c, rule, false, val)
+		return pageAccess(c, vncr, rule.Reg, false, val)
 	default:
 		return arm.NV2Trap
 	}
@@ -77,35 +78,33 @@ func (e Engine) Access(c *arm.CPU, r arm.SysReg, write bool, val *uint64) arm.NV
 // access it steers pays the usual cost.
 func peekVHCR(c *arm.CPU, vncr uint64) uint64 {
 	base := BAddr(vncr)
-	if c.NV2Pages != nil {
-		if st := c.NV2Pages(base); st != nil {
-			return st.Get(arm.HCR_EL2)
-		}
+	if st := c.NV2Store(base); st != nil {
+		return st.Get(arm.HCR_EL2)
 	}
 	return c.Mem.MustRead64(Page{Base: base}.Slot(arm.HCR_EL2))
 }
 
-func pageAccess(c *arm.CPU, rule Rule, write bool, val *uint64) arm.NV2Outcome {
-	base := BAddr(c.Reg(arm.VNCR_EL2))
-	if c.NV2Pages != nil {
-		if st := c.NV2Pages(base); st != nil {
-			// The page is backed by a registered tracked store: the access
-			// reports its read/write set to the trace-JIT engine through the
-			// store's tap, so deferred traffic is replayable instead of a
-			// poison source.
-			if write {
-				st.Set(rule.Reg, *val)
-			} else {
-				*val = st.Get(rule.Reg)
-			}
-			c.AddCycles(c.Cost.SysRegVNCR)
-			return arm.NV2Memory
+// pageAccess performs a deferred access to reg's slot of the page vncr
+// names.
+func pageAccess(c *arm.CPU, vncr uint64, reg arm.SysReg, write bool, val *uint64) arm.NV2Outcome {
+	base := BAddr(vncr)
+	if st := c.NV2Store(base); st != nil {
+		// The page is backed by a registered tracked store: the access
+		// reports its read/write set to the trace-JIT engine through the
+		// store's tap, so deferred traffic is replayable instead of a
+		// poison source.
+		if write {
+			st.Set(reg, *val)
+		} else {
+			*val = st.Get(reg)
 		}
+		c.AddCycles(c.Cost.SysRegVNCR)
+		return arm.NV2Memory
 	}
 	// An unregistered page lives only in raw memory, which is outside the
 	// trace-JIT replay guard: poison any active recording.
 	c.JITPoison()
-	addr := Page{Base: base}.Slot(rule.Reg)
+	addr := Page{Base: base}.Slot(reg)
 	if write {
 		c.Mem.MustWrite64(addr, *val)
 	} else {
@@ -115,11 +114,11 @@ func pageAccess(c *arm.CPU, rule Rule, write bool, val *uint64) arm.NV2Outcome {
 	return arm.NV2Memory
 }
 
-func redirectAccess(c *arm.CPU, rule Rule, write bool, val *uint64) arm.NV2Outcome {
+func redirectAccess(c *arm.CPU, to arm.SysReg, write bool, val *uint64) arm.NV2Outcome {
 	if write {
-		c.SetReg(rule.Redirect, *val)
+		c.SetReg(to, *val)
 	} else {
-		*val = c.Reg(rule.Redirect)
+		*val = c.Reg(to)
 	}
 	c.AddCycles(c.Cost.SysRegRedirect)
 	return arm.NV2Redirected

@@ -248,6 +248,10 @@ func (t *FileTap) Write(idx int) {
 	}
 }
 
+// Active reports whether a recording is in flight, so a caller moving
+// many words can check once and report each of them only when it is.
+func (t *FileTap) Active() bool { return t != nil && t.e.rec != nil }
+
 // read and write are the recording-only slow paths, kept out of line so
 // that the taps stay cheap enough to inline into every model accessor.
 //
@@ -853,6 +857,31 @@ func (e *Engine) Poison() {
 
 // Recording reports whether a capture is in flight.
 func (e *Engine) Recording() bool { return e.rec != nil }
+
+// FileAccess is one tracked-file word a recording touched: the file, the
+// word index and, for a read, the value the read guards.
+type FileAccess struct {
+	File FileID
+	Word int
+	Val  uint64
+}
+
+// Accessed returns the active recording's tracked-file reads and writes
+// so far, each word once, in first-access order: the sets promotion would
+// guard and restore. It returns nil outside a recording. Equivalence tests
+// use it to check that two access paths report alike.
+func (e *Engine) Accessed() (reads, writes []FileAccess) {
+	if e.rec == nil {
+		return nil, nil
+	}
+	for _, w := range e.rec.freads {
+		reads = append(reads, FileAccess{w.f, int(w.idx), w.val})
+	}
+	for _, w := range e.rec.fwrites {
+		writes = append(writes, FileAccess{w.f, int(w.idx), 0})
+	}
+	return reads, writes
+}
 
 // LogProbe records one stage-2 TLB lookup observed during a recording. A
 // miss poisons: replay cannot reproduce a table walk.

@@ -24,7 +24,8 @@ type Context struct {
 	// recording guards only the context words it consumed instead of
 	// walking the whole file (nil, and free to check, until
 	// Stack.InstallJIT registers the file). Every access path to regs —
-	// Get, Set, and the batched sequences over file() — notifies it.
+	// Get, Set, copyRun and the batched sequences over file() — notifies
+	// it while a recording is in flight.
 	jt *jit.FileTap
 }
 
@@ -47,13 +48,39 @@ func (ctx *Context) Set(r arm.SysReg, v uint64) {
 	ctx.regs[i] = v
 }
 
-// copyFrom moves one saved register from src slot sr into dst slot dr,
-// reporting the read and the write to any installed trace-JIT engine.
-func (ctx *Context) copyFrom(src *Context, dr, sr arm.SysReg) {
-	di, si := arm.StorageReg(dr), arm.StorageReg(sr)
-	src.jt.Read(int(si))
-	ctx.jt.Write(int(di))
-	ctx.regs[di] = src.regs[si]
+// ctxRun is a precomputed context-to-context copy: storage-index pairs
+// (alias-resolved once, when the run is built) that copyRun moves in
+// order.
+type ctxRun []struct{ dst, src arm.SysReg }
+
+// newCtxRun builds the run copying src[i] into dst[i].
+func newCtxRun(dst, src []arm.SysReg) ctxRun {
+	if len(dst) != len(src) {
+		panic("kvm: context run length mismatch")
+	}
+	run := make(ctxRun, len(dst))
+	for i := range dst {
+		run[i].dst, run[i].src = arm.StorageReg(dst[i]), arm.StorageReg(src[i])
+	}
+	return run
+}
+
+// copyRun moves every pair of run from src into ctx. It checks for an
+// active trace-JIT recording once; while one is in flight it reports each
+// pair as the funnel would, the source read and then the destination
+// write, pair by pair.
+func (ctx *Context) copyRun(src *Context, run ctxRun) {
+	if ctx.jt.Active() || src.jt.Active() {
+		for _, p := range run {
+			src.jt.Read(int(p.src))
+			ctx.jt.Write(int(p.dst))
+			ctx.regs[p.dst] = src.regs[p.src]
+		}
+		return
+	}
+	for _, p := range run {
+		ctx.regs[p.dst] = src.regs[p.src]
+	}
 }
 
 // file exposes the raw register file for bulk sequence transfers

@@ -77,7 +77,7 @@ type SMPOptions struct {
 // SMPStats summarizes a completed SMP run. Every field is derived from
 // virtual time and merge order only, so parallel and sequential runs of
 // the same programs produce equal SMPStats (wall-clock measurements live
-// on the Stack; see LastSMPBarrierWait).
+// on the Stack; see LastSMPBarrierWait and LastSMPMergeTime).
 type SMPStats struct {
 	// VCPUs is the number of vCPU programs run.
 	VCPUs int
@@ -150,8 +150,11 @@ type smpEngine struct {
 	done   []bool
 
 	// barrierWait accumulates the coordinator's wall-clock time collecting
-	// parallel epochs, from the last release until every vCPU has parked.
+	// parallel epochs, from the last release until every vCPU has parked;
+	// segment execution is inside it. mergeTime accumulates the
+	// coordinator's serialized merges.
 	barrierWait time.Duration
+	mergeTime   time.Duration
 
 	ipis   *gic.EpochQueue
 	guests []*SMPGuest
@@ -202,7 +205,7 @@ func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPSta
 	e.run(programs)
 	teardown()
 	s.smpRunning = false
-	s.smpBarrierWait = e.barrierWait
+	s.smpBarrierWait, s.smpMergeTime = e.barrierWait, e.mergeTime
 
 	e.stats.DistOps = e.ipis.Ops()
 	e.stats.FinalBudget = e.budget
@@ -341,7 +344,9 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 				e.step(i)
 			}
 		}
+		t0 := time.Now()
 		e.merge(act)
+		e.mergeTime += time.Since(t0)
 	}
 }
 

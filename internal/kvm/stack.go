@@ -31,10 +31,12 @@ type Stack struct {
 	sgen structGen
 
 	// smpBarrierWait is the wall clock the coordinator spent collecting
-	// parallel epochs during the last SMP run. Wall time, not virtual
-	// time — it lives here, outside SMPStats, so the parallel/sequential
-	// equivalence gates never compare it.
+	// parallel epochs during the last SMP run, and smpMergeTime the wall
+	// clock of its serialized epoch merges. Wall time, not virtual time —
+	// they live here, outside SMPStats, so the parallel/sequential
+	// equivalence gates never compare them.
 	smpBarrierWait time.Duration
+	smpMergeTime   time.Duration
 
 	// smpRunning marks an SMP epoch engine mid-run: vCPU goroutines are
 	// parked inside guest contexts, so the stack is not at a quiescent
@@ -161,3 +163,10 @@ func (s *Stack) NEVE() bool { return s.GuestHyp != nil && s.GuestHyp.Cfg.NEVE }
 // for sequential runs. It is a host-side measurement and is deliberately
 // kept out of SMPStats so the byte-equivalence gates never see it.
 func (s *Stack) LastSMPBarrierWait() time.Duration { return s.smpBarrierWait }
+
+// LastSMPMergeTime returns the wall-clock time the coordinator spent in
+// the serialized epoch merges of the most recent SMP run: parked
+// shared-state operations, the distributor merge and the exit epilogues,
+// run one vCPU at a time in either mode. Like LastSMPBarrierWait it is a
+// host-side measurement outside SMPStats.
+func (s *Stack) LastSMPMergeTime() time.Duration { return s.smpMergeTime }

@@ -52,6 +52,45 @@ var vncrEL1Regs = func() []arm.SysReg {
 	return out
 }()
 
+// The bookkeeping moves below are context runs, resolved once at init:
+// the world switch runs several of them on every exit.
+var (
+	// el1CtxRun copies the EL1 context between the hardware-bound snapshot
+	// and the virtual EL1 store; vncrEL1Run and vncrEL2Run copy the page's
+	// EL1 and EL2 slots.
+	el1CtxRun  = newCtxRun(el1CtxRegs, el1CtxRegs)
+	vncrEL1Run = newCtxRun(vncrEL1Regs, vncrEL1Regs)
+	vncrEL2Run = newCtxRun(vncrEL2Regs, vncrEL2Regs)
+	// vncrDeferredRun is the part of vncrEL2Run the guest hypervisor
+	// writes through the page (TreatVNCR); the rest are cached copies.
+	vncrDeferredRun = func() ctxRun {
+		var regs []arm.SysReg
+		for _, r := range vncrEL2Regs {
+			if core.RuleFor(r).Treatment == core.TreatVNCR {
+				regs = append(regs, r)
+			}
+		}
+		return newCtxRun(regs, regs)
+	}()
+	// vel2EnvRun projects the virtual EL2 execution environment onto the
+	// EL1 image (vel2EnvRunVHE adds the VHE-only redirects), and
+	// vel2BackRun harvests it back.
+	vel2EnvRun, vel2EnvRunVHE, vel2BackRun = func() (ctxRun, ctxRun, ctxRun) {
+		var el1, el2 []arm.SysReg
+		for _, rule := range vel2RedirectRules {
+			el1, el2 = append(el1, rule.Redirect), append(el2, rule.Reg)
+		}
+		el1, el2 = append(el1, arm.SP_EL1), append(el2, arm.SP_EL2)
+		back := newCtxRun(el2, el1)
+		env := newCtxRun(el1, el2)
+		// VHE guest hypervisors own TCR/TTBR0/TTBR1/CONTEXTIDR via
+		// redirection as well (Table 4, "Redirect or trap" and "(VHE)").
+		el1 = append(el1, arm.TCR_EL1, arm.TTBR0_EL1, arm.TTBR1_EL1, arm.CONTEXTIDR_EL1)
+		el2 = append(el2, arm.TCR_EL2, arm.TTBR0_EL2, arm.TTBR1_EL2, arm.CONTEXTIDR_EL2)
+		return env, newCtxRun(el1, el2), back
+	}()
+)
+
 // storeVirtEL1 parks the interrupted virtual EL1 context (currently
 // snapshotted in v.EL1 by the world switch) into the virtual EL1 store:
 // hypervisor memory under ARMv8.3, the deferred access page under NEVE
@@ -59,19 +98,13 @@ var vncrEL1Regs = func() []arm.SysReg {
 // hardware into the deferred access page, enables NEVE, and runs the guest
 // hypervisor" — Section 6.1).
 func (h *Hypervisor) storeVirtEL1(c *arm.CPU, v *VCPU) {
-	for _, r := range el1CtxRegs {
-		v.VirtEL1.copyFrom(&v.EL1, r, r)
-	}
+	v.VirtEL1.copyRun(&v.EL1, el1CtxRun)
 	c.MemOp(uint64(len(el1CtxRegs)))
 	if h.neveActive(v.VM) {
-		for _, r := range vncrEL1Regs {
-			v.PageCtx.copyFrom(&v.VirtEL1, r, r)
-		}
+		v.PageCtx.copyRun(&v.VirtEL1, vncrEL1Run)
 		// Refresh the cached copies of the EL2 registers as well, so the
 		// guest hypervisor's deferred reads observe current values.
-		for _, r := range vncrEL2Regs {
-			v.PageCtx.copyFrom(&v.VEL2, r, r)
-		}
+		v.PageCtx.copyRun(&v.VEL2, vncrEL2Run)
 		c.MemOp(uint64(len(vncrEL1Regs) + len(vncrEL2Regs)))
 	}
 }
@@ -81,14 +114,10 @@ func (h *Hypervisor) storeVirtEL1(c *arm.CPU, v *VCPU) {
 // NEVE the store is the deferred access page.
 func (h *Hypervisor) loadVirtEL1(c *arm.CPU, v *VCPU) {
 	if h.neveActive(v.VM) {
-		for _, r := range vncrEL1Regs {
-			v.VirtEL1.copyFrom(&v.PageCtx, r, r)
-		}
+		v.VirtEL1.copyRun(&v.PageCtx, vncrEL1Run)
 		c.MemOp(uint64(len(vncrEL1Regs)))
 	}
-	for _, r := range el1CtxRegs {
-		v.EL1.copyFrom(&v.VirtEL1, r, r)
-	}
+	v.EL1.copyRun(&v.VirtEL1, el1CtxRun)
 	c.MemOp(uint64(len(el1CtxRegs)))
 }
 
@@ -96,15 +125,8 @@ func (h *Hypervisor) loadVirtEL1(c *arm.CPU, v *VCPU) {
 // control registers (virtual HCR_EL2, VTTBR_EL2, ...) out of the page into
 // the virtual EL2 state, where the host's emulation logic consumes them.
 func (h *Hypervisor) syncVEL2FromPage(c *arm.CPU, v *VCPU) {
-	var n uint64
-	for _, r := range vncrEL2Regs {
-		rule := core.RuleFor(r)
-		if rule.Treatment == core.TreatVNCR {
-			v.VEL2.copyFrom(&v.PageCtx, r, r)
-			n++
-		}
-	}
-	c.MemOp(n)
+	v.VEL2.copyRun(&v.PageCtx, vncrDeferredRun)
+	c.MemOp(uint64(len(vncrDeferredRun)))
 }
 
 // projectVEL2Env builds the hardware EL1 image of the guest hypervisor's
@@ -113,18 +135,11 @@ func (h *Hypervisor) syncVEL2FromPage(c *arm.CPU, v *VCPU) {
 // deprivileged in EL1 with this image, the guest hypervisor behaves as it
 // would at EL2 (Section 6).
 func (h *Hypervisor) projectVEL2Env(c *arm.CPU, v *VCPU) {
-	for _, rule := range vel2RedirectRules {
-		v.EL1.copyFrom(&v.VEL2, rule.Redirect, rule.Reg)
-	}
-	v.EL1.copyFrom(&v.VEL2, arm.SP_EL1, arm.SP_EL2)
-	// VHE guest hypervisors own TCR/TTBR0/TTBR1/CONTEXTIDR via redirection
-	// as well (Table 4, "Redirect or trap" and "(VHE)").
+	run := vel2EnvRun
 	if v.VM.GuestHyp.Cfg.VHE {
-		v.EL1.copyFrom(&v.VEL2, arm.TCR_EL1, arm.TCR_EL2)
-		v.EL1.copyFrom(&v.VEL2, arm.TTBR0_EL1, arm.TTBR0_EL2)
-		v.EL1.copyFrom(&v.VEL2, arm.TTBR1_EL1, arm.TTBR1_EL2)
-		v.EL1.copyFrom(&v.VEL2, arm.CONTEXTIDR_EL1, arm.CONTEXTIDR_EL2)
+		run = vel2EnvRunVHE
 	}
+	v.EL1.copyRun(&v.VEL2, run)
 	c.MemOp(uint64(len(vel2RedirectRules) + 5))
 	v.st.set(vcInVEL2, 1)
 }
@@ -138,10 +153,7 @@ func (h *Hypervisor) projectVEL2Back(c *arm.CPU, v *VCPU) {
 	if v.st.get(vcInVEL2) == 0 {
 		return
 	}
-	for _, rule := range vel2RedirectRules {
-		v.VEL2.copyFrom(&v.EL1, rule.Reg, rule.Redirect)
-	}
-	v.VEL2.copyFrom(&v.EL1, arm.SP_EL2, arm.SP_EL1)
-	c.MemOp(uint64(len(vel2RedirectRules) + 1))
+	v.VEL2.copyRun(&v.EL1, vel2BackRun)
+	c.MemOp(uint64(len(vel2BackRun)))
 	v.st.set(vcInVEL2, 0)
 }

@@ -7,6 +7,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
@@ -107,10 +108,16 @@ type Machine struct {
 
 // RegisterNV2Page registers st as the tracked backing store of the deferred
 // access page at base. The hypervisor calls it when it allocates a page;
-// deferred accesses to an unregistered base fall back to raw memory.
+// deferred accesses to an unregistered base fall back to raw memory. A
+// base keeps its store for the machine's lifetime (each core remembers the
+// store it last resolved), so registering a base again with a different
+// store panics.
 func (m *Machine) RegisterNV2Page(base mem.Addr, st arm.RegStore) {
 	if m.nv2Pages == nil {
 		m.nv2Pages = make(map[mem.Addr]arm.RegStore)
+	}
+	if old, ok := m.nv2Pages[base]; ok && old != st {
+		panic(fmt.Sprintf("machine: deferred access page %#x registered again with a different store", uint64(base)))
 	}
 	m.nv2Pages[base] = st
 }

@@ -9,20 +9,21 @@ type TimerCheckpoint struct {
 	firedAt map[arm.SysReg]uint64
 }
 
-// Checkpoint captures the timer state.
+// Checkpoint captures the timer state. The firing memory is keyed by each
+// line's control register, the form the checkpoint codec encodes.
 func (t *Timer) Checkpoint() TimerCheckpoint {
-	cp := TimerCheckpoint{firedAt: make(map[arm.SysReg]uint64, len(t.firedAt))}
-	for r, v := range t.firedAt {
-		cp.firedAt[r] = v
+	cp := TimerCheckpoint{firedAt: make(map[arm.SysReg]uint64, numLines)}
+	for li, l := range lines {
+		if t.fired[li] {
+			cp.firedAt[l.ctl] = t.firedAt[li]
+		}
 	}
 	return cp
 }
 
-// Restore returns the timer block to a checkpointed state, reusing the
-// live map.
+// Restore returns the timer block to a checkpointed state.
 func (t *Timer) Restore(cp TimerCheckpoint) {
-	clear(t.firedAt)
-	for r, v := range cp.firedAt {
-		t.firedAt[r] = v
+	for li, l := range lines {
+		t.firedAt[li], t.fired[li] = cp.firedAt[l.ctl]
 	}
 }

@@ -24,16 +24,18 @@ const (
 // system register file (the device only adds counter semantics and firing).
 type Timer struct {
 	Dist *gic.Dist
-	// firedAt records, per timer line, the compare value that last raised
-	// the interrupt: each programmed deadline asserts once, surviving the
-	// hypervisor's transient disable/re-enable across world switches.
-	// Reprogramming the compare value rearms the line.
-	firedAt map[arm.SysReg]uint64
+	// firedAt records, per timer line (indexed like lines), the compare
+	// value that last raised the interrupt, valid where fired is set: each
+	// programmed deadline asserts once, surviving the hypervisor's
+	// transient disable/re-enable across world switches. Reprogramming
+	// the compare value rearms the line.
+	firedAt [numLines]uint64
+	fired   [numLines]bool
 }
 
 // New returns a timer block delivering through d.
 func New(d *gic.Dist) *Timer {
-	return &Timer{Dist: d, firedAt: make(map[arm.SysReg]uint64)}
+	return &Timer{Dist: d}
 }
 
 var (
@@ -92,7 +94,9 @@ type timerLine struct {
 	intid     int
 }
 
-var lines = []timerLine{
+const numLines = 4
+
+var lines = [numLines]timerLine{
 	{arm.CNTV_CTL_EL0, arm.CNTV_CVAL_EL0, true, gic.VTimerINTID},
 	{arm.CNTP_CTL_EL0, arm.CNTP_CVAL_EL0, false, 30},
 	{arm.CNTHP_CTL_EL2, arm.CNTHP_CVAL_EL2, false, gic.HypTimerINTID},
@@ -107,13 +111,16 @@ var lines = []timerLine{
 // register alone: its compare value and CNTVOFF cannot influence the
 // outcome, so they are not read. An enabled line's outcome depends on the
 // live counter, which no guard pins, so evaluating one poisons the
-// recording.
+// recording. A disabled line whose status bit is already clear is left
+// alone: rewriting the same value would change nothing.
 func (t *Timer) Check(c *arm.CPU) {
 	for li := range lines {
 		l := &lines[li]
 		ctl := c.Reg(l.ctl)
 		if ctl&CtlEnable == 0 {
-			c.SetReg(l.ctl, ctl&^CtlIStat)
+			if ctl&CtlIStat != 0 {
+				c.SetReg(l.ctl, ctl&^CtlIStat)
+			}
 			continue
 		}
 		c.JITPoison()
@@ -127,9 +134,8 @@ func (t *Timer) Check(c *arm.CPU) {
 			continue
 		}
 		c.SetReg(l.ctl, ctl|CtlIStat)
-		prev, fired := t.firedAt[l.ctl]
-		if ctl&CtlIMask == 0 && (!fired || prev != cval) {
-			t.firedAt[l.ctl] = cval
+		if ctl&CtlIMask == 0 && (!t.fired[li] || t.firedAt[li] != cval) {
+			t.firedAt[li], t.fired[li] = cval, true
 			if t.Dist != nil {
 				t.Dist.AssertPPI(c.ID, l.intid)
 			}
