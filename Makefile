@@ -109,9 +109,11 @@ smp-bench-smoke:
 # two three-level recursive stacks' microbenchmarks (deterministic, no
 # wall times) must be byte-identical with super-ops replaying (-jit=on) and
 # every trap interpreted (-jit=off). Any diff is a replay-path bug. The
-# two guarded runs keep the JIT on under a watchdog budget that trips:
-# their whole output (stdout, stderr with the SimError and its recent
-# traps, the exit status; minus fleet's wall-time line) must match too.
+# guarded runs keep the JIT on under a budget: two under a watchdog that
+# trips (trap-storm), two under a fault plan that fires (an injected
+# line). Their whole output (stdout, stderr with any SimError and its
+# recent traps, the exit status; minus fleet's wall-time line) must match
+# too, and must show that the budget acted.
 jit-equiv-smoke:
 	@for run in "all" "run -config recursive-v8.3" "run -config recursive-neve"; do \
 		$(GO) run ./cmd/nevesim -jit=on $$run > .jit-on.tmp || exit 1; \
@@ -124,15 +126,18 @@ jit-equiv-smoke:
 		fi; \
 	done; rm -f .jit-on.tmp .jit-off.tmp
 	@$(GO) build -o .jit-nevesim.tmp ./cmd/nevesim || exit 1; \
-	for run in "run -config v8.3 -max-traps 100" \
-		"fleet -workers 1 -configs v8.3,v8.3-vhe,neve -max-traps 60000"; do \
+	for check in "trap-storm:run -config v8.3 -max-traps 100" \
+		"trap-storm:fleet -workers 1 -configs v8.3,v8.3-vhe,neve -max-traps 60000" \
+		"injected:run -config v8.3 -faults seed=7,every=50,count=5" \
+		"injected:run -config neve -faults seed=7,every=50,count=5"; do \
+		want="$${check%%:*}"; run="$${check#*:}"; \
 		for mode in on off; do \
 			./.jit-nevesim.tmp -jit=$$mode $$run > .jit-raw.tmp 2>&1; \
 			echo "exit $$?" >> .jit-raw.tmp; \
 			grep -v '^fleet: .* cells over .* ms$$' .jit-raw.tmp > .jit-$$mode.tmp; \
 		done; \
-		if ! grep -q trap-storm .jit-on.tmp; then \
-			echo "$$run: the watchdog did not trip"; rc=1; \
+		if ! grep -q "$$want" .jit-on.tmp; then \
+			echo "$$run: no $$want line, the budget never acted"; rc=1; \
 		elif diff .jit-on.tmp .jit-off.tmp; then \
 			echo "$$run byte-identical jit-on vs jit-off"; rc=0; \
 		else \

@@ -68,19 +68,16 @@ type CPU struct {
 	Bus PhysBus
 	// S2 is the stage-2 MMU context.
 	S2 Stage2
-	// Budget, when non-nil, is the watchdog every interpreted trap and
-	// every Tick charges (after the trap is recorded and before the EL2
-	// vector runs; before a Tick's interrupt delivery). It panics to
-	// abort the run once a budget is exceeded; the platform's recovery
-	// boundary converts that into a typed error. The trace-JIT charges
-	// the traps and steps of each replayed super-op to the same budget,
-	// so the engine stays on under it.
+	// Budget, when non-nil, is the watchdog or fault injector (or both,
+	// as one value) every interpreted trap and every Tick charges (after
+	// the trap is recorded and before the EL2 vector runs; before a
+	// Tick's interrupt delivery). A watchdog panics to abort the run once
+	// a budget is exceeded, which the platform's recovery boundary
+	// converts into a typed error; an injector perturbs the machine on
+	// its schedule. The trace-JIT charges the traps and steps of each
+	// replayed super-op to the same budget, and replays only what the
+	// budget admits, so the engine stays on under it.
 	Budget jit.Budget
-	// HookTrap, when non-nil, observes every trap after the budget
-	// charge and before the EL2 vector runs; the fault injector hangs
-	// here. It sees every trap, so a core with a hook runs interpreted.
-	// Nil in all normal runs, so the hot path pays only a nil check.
-	HookTrap func(c *CPU, e *Exception)
 
 	// st holds the core's mode words (the st* indices in jit.go). Every
 	// access reports to stTap, so the trace-JIT guards them like regs.
@@ -648,16 +645,13 @@ func (c *CPU) trap(e *Exception) uint64 {
 	if c.Budget != nil {
 		c.Budget.OnTrap()
 	}
-	if c.HookTrap != nil {
-		c.HookTrap(c, e)
-	}
 	if c.Vector == nil {
 		panic(fmt.Sprintf("arm: trap %s with no EL2 vector installed", e.EC))
 	}
 	c.set(stEL, uint64(EL2))
 	c.set(stLevel, 0)
 	var v uint64
-	if j := c.jit; j != nil && c.HookTrap == nil {
+	if j := c.jit; j != nil {
 		var exc [jit.ExcWords]uint64
 		PackExc(e, &exc)
 		rv, st := j.Dispatch(c.ID, &exc)

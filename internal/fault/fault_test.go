@@ -146,6 +146,61 @@ func TestWatchdogAdmit(t *testing.T) {
 	}
 }
 
+// TestInjectorAdmit pins the replay side of a fault plan: Admit counts a
+// batch of traps only if none of them would be the next firing trap while
+// injections remain, and a refused batch charges nothing. In a Combined
+// budget a refusal by either side charges neither counter.
+func TestInjectorAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plan   Plan
+		wd     *Watchdog // nil: the injector alone
+		before int       // traps taken before the batch
+		traps  uint64
+		ok     bool
+	}{
+		{"ends before the firing trap", Plan{Every: 10, Count: 2}, nil, 3, 6, true},
+		{"crosses the firing trap", Plan{Every: 10, Count: 2}, nil, 3, 7, false},
+		{"count spent", Plan{Every: 10, Count: 2}, nil, 20, 100, true},
+		{"unlimited count crosses", Plan{Every: 10}, nil, 20, 10, false},
+		{"unlimited count fits", Plan{Every: 10}, nil, 20, 9, true},
+		{"combined, watchdog refuses", Plan{Every: 10, Count: 2}, &Watchdog{MaxTraps: 5}, 3, 3, false},
+		{"combined, injector refuses", Plan{Every: 10, Count: 2}, &Watchdog{MaxTraps: 100}, 3, 7, false},
+		{"combined admits", Plan{Every: 10, Count: 2}, &Watchdog{MaxTraps: 100}, 3, 6, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := NewInjector(tc.plan, &nullEnv{})
+			var b interface {
+				OnTrap()
+				Admit(traps, steps uint64) bool
+			} = in
+			if tc.wd != nil {
+				b = Combined{W: tc.wd, In: in}
+			}
+			for i := 0; i < tc.before; i++ {
+				b.OnTrap()
+			}
+			injected := in.Injected()
+			if got := b.Admit(tc.traps, 0); got != tc.ok {
+				t.Fatalf("Admit(%d) after %d traps = %v, want %v", tc.traps, tc.before, got, tc.ok)
+			}
+			want := uint64(tc.before)
+			if tc.ok {
+				want += tc.traps
+			}
+			if tr, _ := in.Used(); tr != want {
+				t.Fatalf("injector counted %d traps, want %d", tr, want)
+			}
+			if tc.wd != nil && tc.wd.Traps() != want {
+				t.Fatalf("watchdog counted %d traps, want %d", tc.wd.Traps(), want)
+			}
+			if in.Injected() != injected {
+				t.Fatal("Admit applied a fault")
+			}
+		})
+	}
+}
+
 func TestWatchdogUnlimitedNeverFires(t *testing.T) {
 	w := &Watchdog{}
 	for i := 0; i < 10000; i++ {

@@ -47,8 +47,7 @@ func runScript(t *testing.T, name string, data []byte) scriptResult {
 }
 
 // runScriptJIT is runScript with the trace-JIT layer explicitly on or
-// off and no watchdog budgets: budgets install trap hooks, which disable
-// the JIT at the trap site. Safe without a backstop — fuzz inputs are
+// off and no watchdog budgets. Safe without a backstop — fuzz inputs are
 // capped at 128 operations, each of bounded work. mid, when non-nil, is
 // fired once halfway through the program — the point where warmed-up
 // super-ops are replaying — so the jit-on

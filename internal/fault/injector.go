@@ -18,10 +18,19 @@ type Env interface {
 	DeviceNoise(rng *Rand) (desc string, ok bool)
 }
 
-// Injector applies a Plan against an Env. Attach its OnTrap to the CPU
-// trap hooks; it is not safe for concurrent use (the machine model is
-// single-goroutine).
+// Injector applies a Plan against an Env. It is a budget in the CPU
+// models' sense (jit.Budget): the CPUs report every trap through OnTrap,
+// and the trace-JIT charges the traps of each replayed super-op through
+// Admit, which refuses an op that would cross a firing trap, so the
+// engine stays on under a plan. It is not safe for concurrent use (the
+// machine model is single-goroutine).
 type Injector struct {
+	// Poison, when non-nil, runs after each applied injection. The
+	// platform points it at the trace-JIT's recording poison: an
+	// injection inside a recording writes tracked words, which promotion
+	// would otherwise harvest as the op's delta and replay without it.
+	Poison func()
+
 	plan  Plan
 	env   Env
 	rng   *Rand
@@ -79,9 +88,41 @@ func (in *Injector) OnTrap() {
 		if desc, ok := in.apply(k); ok {
 			in.done++
 			in.log = append(in.log, fmt.Sprintf("trap %d: %s", in.traps, desc))
+			if in.Poison != nil {
+				in.Poison()
+			}
 			return
 		}
 	}
+}
+
+// OnTick ignores guest steps: the schedule counts traps only (jit.Budget).
+func (in *Injector) OnTick(uint64) {}
+
+// Used returns the traps counted so far and no steps (jit.Budget).
+func (in *Injector) Used() (traps, steps uint64) { return in.traps, 0 }
+
+// Admit counts a replayed super-op's traps unless one of them would be
+// the next firing trap while injections remain, and reports whether it
+// did (jit.Budget). A refused op runs interpreted, so the injection lands
+// on the same trap as without the trace-JIT; once Count faults are
+// applied, everything is admitted.
+func (in *Injector) Admit(traps, _ uint64) bool {
+	if !in.admits(traps) {
+		return false
+	}
+	in.traps += traps
+	return true
+}
+
+// admits reports whether traps more traps reach no firing trap while
+// injections remain.
+func (in *Injector) admits(traps uint64) bool {
+	if !in.plan.Active() || in.plan.Count > 0 && in.done >= in.plan.Count {
+		return true
+	}
+	next := (in.traps/in.plan.Every + 1) * in.plan.Every
+	return in.traps+traps < next
 }
 
 func (in *Injector) apply(k Kind) (string, bool) {
@@ -97,4 +138,35 @@ func (in *Injector) apply(k Kind) (string, bool) {
 	default:
 		return "", false
 	}
+}
+
+// Combined charges a watchdog and an injector as one budget (jit.Budget),
+// for a platform that has both. Admission is all-or-nothing: a super-op
+// either side refuses charges neither.
+type Combined struct {
+	W  *Watchdog
+	In *Injector
+}
+
+// OnTrap charges the watchdog, which may abort, then the injector, which
+// may fire.
+func (c Combined) OnTrap() {
+	c.W.OnTrap()
+	c.In.OnTrap()
+}
+
+// OnTick charges the watchdog's step budget.
+func (c Combined) OnTick(steps uint64) { c.W.OnTick(steps) }
+
+// Used returns the watchdog's counts; the injector's trap count moves in
+// step with them outside injections, which poison any recording.
+func (c Combined) Used() (traps, steps uint64) { return c.W.Used() }
+
+// Admit charges both sides only if both admit the batch.
+func (c Combined) Admit(traps, steps uint64) bool {
+	if !c.In.admits(traps) || !c.W.Admit(traps, steps) {
+		return false
+	}
+	c.In.traps += traps
+	return true
 }

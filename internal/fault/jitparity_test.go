@@ -1,14 +1,16 @@
 // Trace-JIT fault parity: every internal/fault perturbation kind, fired
 // while super-ops are live and replaying, must leave the stack in state
 // byte-identical to the fully interpreted path. The perturbations are
-// applied from the workload side (the platform's own injector disables
-// the JIT at the trap site, precisely because its hooks observe every
-// trap), using the same deterministic draws the injector would make, so a
-// jit-on and a jit-off run see the identical fault at the identical
-// point. A guarded-state perturbation must bail the affected super-ops to
-// the interpreter; a perturbation outside the guard (guest RAM) must be
-// invisible to replay exactly as it is to the interpreted sequence —
-// recordings that touch memory are never promoted.
+// applied from the workload side, between traps, using the same
+// deterministic draws the injector would make, so a jit-on and a jit-off
+// run see the identical fault at the identical point. (The platform's own
+// injector fires inside the trap path on its trap-count schedule; replay
+// admits no op that crosses a firing trap, and TestJITInstallGates checks
+// those runs against their JIT-off twins.) A guarded-state perturbation
+// must bail the affected super-ops to the interpreter; a perturbation
+// outside the guard (guest RAM) must be invisible to replay exactly as it
+// is to the interpreted sequence — recordings that touch memory are never
+// promoted.
 package fault_test
 
 import (

@@ -4,12 +4,13 @@ import "fmt"
 
 // Watchdog aborts runs that livelock: a trap storm (the same fault
 // re-taken forever, the exit-multiplication pathology run away) or a
-// step-budget overrun. It is the CPU models' budget (arm.CPU.Budget, or
-// OnTrap/OnTick in the x86 hooks): when a budget is exceeded the watchdog
-// panics with a *SimError, which the platform's recovery boundary returns
-// — annotated with CPU state and recent trap history — instead of hanging
-// the process. The trace-JIT charges replayed super-ops through Admit, so
-// a budget does not turn the engine off.
+// step-budget overrun. It is the CPU models' budget (arm.CPU.Budget,
+// x86.CPU.Budget), alone or with an injector (Combined): when a budget is
+// exceeded the watchdog panics with a *SimError, which the platform's
+// recovery boundary returns — annotated with CPU state and recent trap
+// history — instead of hanging the process. The trace-JIT charges
+// replayed super-ops through Admit, so a budget does not turn the engine
+// off.
 //
 // Budgets are cumulative across the platform's lifetime, matching how the
 // experiments run one measured workload per built stack.

@@ -32,16 +32,17 @@
 // guards the value unless the recording wrote that word first, and a write
 // of the destination, whose final value promotion harvests as a constant.
 //
-// Observers stay on with the engine. A watchdog (Budget) is charged by
-// replay as by the interpreter: each super-op carries the traps and guest
-// steps its recording charged, replay admits an op only if the budget has
-// room for all of them, and an op it cannot cover runs interpreted (a
-// bailout), so the budget trips on exactly the trap it would have tripped
-// on without the engine. When the trace collector keeps a recent-event
-// ring, each super-op also carries the tail of the trap events its
-// recording pushed (at most the ring's capacity, cycles relative to the
-// dispatching core's counter), interned across ops, and replay pushes it
-// rebased on the live counter, so the ring reads the same either way.
+// Observers stay on with the engine. A watchdog or a fault injector
+// (Budget) is charged by replay as by the interpreter: each super-op
+// carries the traps and guest steps its recording charged, replay admits
+// an op only if the budget has room for all of them, and an op it cannot
+// cover runs interpreted (a bailout), so the budget trips, or the
+// injection fires, on exactly the trap it would without the engine. When
+// the trace collector keeps a recent-event ring, each super-op also
+// carries the tail of the trap events its recording pushed (at most the
+// ring's capacity, cycles relative to the dispatching core's counter),
+// interned across ops, and replay pushes it rebased on the live counter,
+// so the ring reads the same either way.
 package jit
 
 import (
@@ -149,11 +150,13 @@ type Hooks struct {
 	Disarm func()
 }
 
-// Budget is a trap-and-step watchdog as the engine and the CPU models see
-// it. The interpreter reports every trap and every Tick's guest steps
-// through OnTrap and OnTick, which abort the run (panic) once a budget is
-// exceeded; replay charges a whole super-op through Admit, which never
-// aborts.
+// Budget is a trap-and-step counter as the engine and the CPU models see
+// it: a watchdog, a fault injector's schedule, or both. The interpreter
+// reports every trap and every Tick's guest steps through OnTrap and
+// OnTick, which may abort the run (panic) once a budget is exceeded or
+// perturb the machine on schedule; replay charges a whole super-op
+// through Admit, which does neither and refuses an op whose counts would
+// reach such a point.
 type Budget interface {
 	OnTrap()
 	OnTick(steps uint64)
@@ -468,7 +471,7 @@ type Engine struct {
 	qseen  []uint8
 	// marks is scratch for the recording's starting clocks.
 	marks []ClockState
-	// budget is the attached watchdog (nil for none).
+	// budget is the attached watchdog or injector (nil for none).
 	budget Budget
 	// obs interns observed effects by a hash of their contents; evs is
 	// promotion scratch.
@@ -487,7 +490,7 @@ func New(hooks Hooks) *Engine {
 	}
 }
 
-// SetBudget attaches a watchdog (nil detaches it). Attach it before the
+// SetBudget attaches a budget (nil detaches it). Attach it before the
 // first dispatch: a super-op recorded without one carries no counts.
 func (e *Engine) SetBudget(b Budget) { e.budget = b }
 

@@ -232,8 +232,8 @@ func (s *Stack) parallelSafe(n int) bool {
 		return false
 	}
 	for _, c := range s.M.CPUs[:n] {
-		if c.HookTrap != nil || c.Budget != nil {
-			// Fault injectors and watchdogs observe a global trap stream.
+		if c.Budget != nil {
+			// Watchdogs and fault injectors count a global trap stream.
 			return false
 		}
 	}

@@ -244,9 +244,10 @@ func (s *Stack) InstallJIT() {
 	s.jit = eng
 }
 
-// SetBudget attaches a watchdog to every core and to the trace-JIT engine,
-// installed or not: interpreted traps and Ticks charge it, and so do
-// replayed super-ops. Attach it before the stack runs.
+// SetBudget attaches a budget (a watchdog, a fault injector, or both as
+// one value) to every core and to the trace-JIT engine, installed or not:
+// interpreted traps and Ticks charge it, and so do replayed super-ops.
+// Attach it before the stack runs.
 func (s *Stack) SetBudget(b jit.Budget) {
 	for _, c := range s.M.CPUs {
 		c.Budget = b

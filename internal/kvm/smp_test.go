@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/nevesim/neve/internal/fault"
 )
 
 func TestSMPInterleavesDeterministically(t *testing.T) {
@@ -335,16 +337,33 @@ func TestSMPEmptyProgramList(t *testing.T) {
 	}
 }
 
+// TestSMPParallelFallsBackOnGICv2 pins when a parallel request runs its
+// epochs sequentially. The GICv2 world switch writes the VM's shared GIC
+// shadow page, and a budget (a watchdog or a fault plan's injector)
+// counts one global trap stream, so both make parallel segments unsafe.
 func TestSMPParallelFallsBackOnGICv2(t *testing.T) {
-	// The GICv2 world switch writes the VM's shared GIC shadow page, so
-	// parallel segments are unsafe and the engine must run sequentially.
-	s := NewVMStack(StackOptions{CPUs: 2, GICv2: true})
-	st := s.RunSMPOpts([]func(g *SMPGuest){
-		func(g *SMPGuest) { g.Work(100) },
-		func(g *SMPGuest) { g.Work(100) },
-	}, SMPOptions{Parallel: true})
-	if st.Parallel {
-		t.Fatalf("GICv2 run reports parallel: %+v", st)
+	for _, tc := range []struct {
+		name     string
+		build    func() *Stack
+		parallel bool
+	}{
+		{"gicv3", func() *Stack { return NewVMStack(StackOptions{CPUs: 2}) }, true},
+		{"gicv2", func() *Stack { return NewVMStack(StackOptions{CPUs: 2, GICv2: true}) }, false},
+		{"budget", func() *Stack {
+			s := NewVMStack(StackOptions{CPUs: 2})
+			s.SetBudget(fault.NewInjector(fault.Plan{Every: 1 << 40}, nil))
+			return s
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.build().RunSMPOpts([]func(g *SMPGuest){
+				func(g *SMPGuest) { g.Work(100) },
+				func(g *SMPGuest) { g.Work(100) },
+			}, SMPOptions{Parallel: true})
+			if st.Parallel != tc.parallel {
+				t.Fatalf("Parallel = %v, want %v: %+v", st.Parallel, tc.parallel, st)
+			}
+		})
 	}
 }
 

@@ -146,12 +146,11 @@ func buildARM(spec Spec) *armPlatform {
 		s = kvm.NewRecursiveStack(opts)
 	}
 	s.M.Dist.Route(NICSPI, 0)
-	// The trace-JIT layer is on by default, except where replay would
-	// change what is observed: trap recording keeps every event and the
-	// fault injector perturbs the machine at individual traps, so those
-	// configurations run without the engine. Watchdog budgets keep it:
-	// replay charges them (installFaults).
-	if !spec.JITOff && !spec.RecordTrace && !spec.Faults.Active() {
+	// The trace-JIT layer is on by default, except under trap recording,
+	// which keeps every event replay would skip. Watchdog budgets and
+	// fault plans keep it: replay charges them, and an op that would
+	// cross a firing injection runs interpreted (installFaults).
+	if !spec.JITOff && !spec.RecordTrace {
 		s.InstallJIT()
 	}
 	p := &armPlatform{spec: spec, s: s}

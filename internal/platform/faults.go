@@ -3,52 +3,59 @@ package platform
 import (
 	"fmt"
 
-	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
 	"github.com/nevesim/neve/internal/fault"
 	"github.com/nevesim/neve/internal/gic"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/kvm"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/x86"
 )
 
 // This file threads the fault layer (internal/fault) through the built
-// platforms: the spec's Faults plan becomes a CPU trap hook, its
-// MaxTraps/MaxSteps budgets a watchdog the CPUs (and, on ARM, the
-// trace-JIT's replays) charge, and Protect/RunGuestErr form the recovery
-// boundary that converts internal panics into annotated *fault.SimError
-// values. With the spec's fault fields zero (every registry entry),
-// nothing is installed and the hot path is untouched — the paper goldens
-// cannot move.
+// platforms: the spec's MaxTraps/MaxSteps budgets become a watchdog and
+// its Faults plan an injector, attached to the CPUs as one budget value
+// that interpreted traps charge and, on ARM, the trace-JIT's replays
+// charge too, so the engine stays on; Protect/RunGuestErr form the
+// recovery boundary that converts internal panics into annotated
+// *fault.SimError values. With the spec's fault fields zero (every
+// registry entry), nothing is installed and the hot path is untouched —
+// the paper goldens cannot move.
 
 // recentDepth is how many trailing trap events a SimError carries.
 const recentDepth = 16
 
-// installFaults wires the spec's fault plan and watchdog budgets into the
-// ARM stack's CPUs.
+// newFaults builds the spec's watchdog and injector over env, and the one
+// budget value the CPUs charge: either alone, or both combined. b is nil
+// when the spec asks for neither.
+func newFaults(spec Spec, env fault.Env) (wd *fault.Watchdog, inj *fault.Injector, b jit.Budget) {
+	if spec.MaxTraps > 0 || spec.MaxSteps > 0 {
+		wd = &fault.Watchdog{MaxTraps: spec.MaxTraps, MaxSteps: spec.MaxSteps}
+		b = wd
+	}
+	if spec.Faults.Active() {
+		inj = fault.NewInjector(spec.Faults, env)
+		b = inj
+		if wd != nil {
+			b = fault.Combined{W: wd, In: inj}
+		}
+	}
+	return wd, inj, b
+}
+
+// installFaults attaches the spec's fault plan and watchdog budgets to
+// the ARM stack's CPUs and its trace-JIT.
 func (p *armPlatform) installFaults() {
-	plan := p.spec.Faults
-	needWD := p.spec.MaxTraps > 0 || p.spec.MaxSteps > 0
-	if !plan.Active() && !needWD {
+	var b jit.Budget
+	p.wd, p.inj, b = newFaults(p.spec, &armEnv{s: p.s})
+	if b == nil {
 		return
 	}
 	p.s.M.Trace.EnableRecent(recentDepth)
-	if needWD {
-		p.wd = &fault.Watchdog{MaxTraps: p.spec.MaxTraps, MaxSteps: p.spec.MaxSteps}
+	if p.inj != nil {
+		p.inj.Poison = p.s.M.CPUs[0].JITPoison
 	}
-	if plan.Active() {
-		p.inj = fault.NewInjector(plan, &armEnv{s: p.s})
-	}
-	if p.wd != nil {
-		// The watchdog is a budget the trace-JIT's replays charge too, so
-		// it leaves the engine on.
-		p.s.SetBudget(p.wd)
-	}
-	if inj := p.inj; inj != nil {
-		for _, c := range p.s.M.CPUs {
-			c.HookTrap = func(*arm.CPU, *arm.Exception) { inj.OnTrap() }
-		}
-	}
+	p.s.SetBudget(b)
 }
 
 func (p *armPlatform) Injector() *fault.Injector { return p.inj }
@@ -175,30 +182,17 @@ func (e *armEnv) DeviceNoise(r *fault.Rand) (string, bool) {
 	return fmt.Sprintf("device noise: GICD+%#x <- %#x", off, val), true
 }
 
-// installFaults wires the watchdog and the (interrupt-only) injector into
-// the x86 comparator's CPUs.
+// installFaults attaches the watchdog and the (interrupt-only) injector
+// to the x86 comparator's CPUs.
 func (p *x86Platform) installFaults() {
-	plan := p.spec.Faults
-	needWD := p.spec.MaxTraps > 0 || p.spec.MaxSteps > 0
-	if !plan.Active() && !needWD {
+	var b jit.Budget
+	p.wd, p.inj, b = newFaults(p.spec, &x86Env{s: p.s})
+	if b == nil {
 		return
 	}
 	p.s.Trace.EnableRecent(recentDepth)
-	if needWD {
-		p.wd = &fault.Watchdog{MaxTraps: p.spec.MaxTraps, MaxSteps: p.spec.MaxSteps}
-	}
-	if plan.Active() {
-		p.inj = fault.NewInjector(plan, &x86Env{s: p.s})
-	}
-	wd, inj := p.wd, p.inj
 	for _, c := range p.s.CPUs {
-		c.HookExit = func(*x86.CPU, *x86.Exit) {
-			wd.OnTrap()
-			inj.OnTrap()
-		}
-		if wd != nil {
-			c.HookTick = func(_ *x86.CPU, n uint64) { wd.OnTick(n) }
-		}
+		c.Budget = b
 	}
 }
 

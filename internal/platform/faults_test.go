@@ -12,8 +12,8 @@ import (
 )
 
 // TestFaultsOffByDefault: every registry spec builds with no fault
-// machinery attached — no injector, no CPU hooks, no trace ring — so the
-// hot path and the paper goldens are untouched.
+// machinery attached — no injector, no CPU budget, no trace ring — so
+// the hot path and the paper goldens are untouched.
 func TestFaultsOffByDefault(t *testing.T) {
 	for _, spec := range Registry() {
 		p := MustBuild(spec)
@@ -22,7 +22,7 @@ func TestFaultsOffByDefault(t *testing.T) {
 		}
 		if s := p.ARM(); s != nil {
 			for i, c := range s.M.CPUs {
-				if c.HookTrap != nil || c.Budget != nil {
+				if c.Budget != nil {
 					t.Errorf("%s: cpu%d has fault hooks installed", spec.Name, i)
 				}
 			}
@@ -32,7 +32,7 @@ func TestFaultsOffByDefault(t *testing.T) {
 		}
 		if s := p.X86(); s != nil {
 			for i, c := range s.CPUs {
-				if c.HookExit != nil || c.HookTick != nil {
+				if c.Budget != nil {
 					t.Errorf("%s: cpu%d has fault hooks installed", spec.Name, i)
 				}
 			}

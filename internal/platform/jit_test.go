@@ -1,6 +1,12 @@
 package platform
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"github.com/nevesim/neve/internal/fault"
+)
 
 // TestJITSnapshotRetain pins the snapshot/restore contract with the
 // trace-JIT layer: compiled super-ops outlive a restore, so the restored
@@ -36,31 +42,40 @@ func TestJITSnapshotRetain(t *testing.T) {
 }
 
 // TestJITInstallGates pins where the JIT is and is not installed. Under
-// event recording or an active fault plan every trap runs interpreted (the
-// engine reports no dispatches), because those modes keep or perturb
-// individual traps the replay path would skip. Watchdog budgets keep the
-// engine on: replay charges them, so the engine dispatches and the run —
-// signature, trace counters and the watchdog's own counts — equals its
-// JIT-off twin.
+// event recording every trap runs interpreted (the engine reports no
+// dispatches), because that mode keeps individual traps the replay path
+// would skip. Watchdog budgets and fault plans keep the engine on: replay
+// charges them and runs interpreted any op that would cross a budget trip
+// or a firing injection, so the engine dispatches and the run — signature,
+// trace counters, injection log, any SimError and the watchdog's own
+// counts — equals its JIT-off twin. The nested-plan row fires inside
+// recordings that span a v8.3 guest hypervisor's nested traps, where an
+// injection must poison the recording rather than be harvested into an
+// op that replays it later.
 func TestJITInstallGates(t *testing.T) {
 	cases := []struct {
 		name      string
+		config    string
 		mutate    func(*Spec)
 		installed bool
 	}{
-		{"jit=off", func(s *Spec) { s.JITOff = true }, false},
-		{"record-trace", func(s *Spec) { s.RecordTrace = true }, false},
-		{"fault-plan", func(s *Spec) { s.Faults.Every = 1000 }, false},
-		{"max-traps", func(s *Spec) { s.MaxTraps = 1 << 30 }, true},
-		{"max-steps", func(s *Spec) { s.MaxSteps = 1 << 40 }, true},
+		{"jit=off", "neve", func(s *Spec) { s.JITOff = true }, false},
+		{"record-trace", "neve", func(s *Spec) { s.RecordTrace = true }, false},
+		{"fault-plan", "neve", func(s *Spec) { s.Faults = fault.Plan{Seed: 7, Every: 40, Count: 6} }, true},
+		{"fault-plan-nested", "v8.3", func(s *Spec) {
+			s.Faults = fault.Plan{Seed: 7, Every: 97, Count: 8}
+			s.MaxTraps = 100_000
+		}, true},
+		{"max-traps", "neve", func(s *Spec) { s.MaxTraps = 1 << 30 }, true},
+		{"max-steps", "neve", func(s *Spec) { s.MaxSteps = 1 << 40 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := MustLookup("neve")
+			spec := MustLookup(tc.config)
 			spec.CPUs = 2
 			tc.mutate(&spec)
 			p := MustBuild(spec)
-			sig := runCellSignature(p)
+			sig := guardedSignature(t, p)
 			got := p.JITStats()
 			if !tc.installed {
 				if got.Hits|got.Misses|got.Bailouts != 0 {
@@ -71,15 +86,39 @@ func TestJITInstallGates(t *testing.T) {
 			if got.Hits == 0 {
 				t.Fatalf("%s: JIT replayed nothing: %+v", tc.name, got)
 			}
+			if spec.Faults.Active() && p.Injector().Injected() == 0 {
+				t.Fatalf("%s: the plan never fired", tc.name)
+			}
 			spec.JITOff = true
 			off := MustBuild(spec)
-			if want := runCellSignature(off); sig != want {
+			if want := guardedSignature(t, off); sig != want {
 				t.Fatalf("%s: run differs from its JIT-off twin:\njit-on:\n%s\njit-off:\n%s", tc.name, sig, want)
 			}
-			if w, wo := p.Watchdog(), off.Watchdog(); w.Traps() != wo.Traps() || w.Steps() != wo.Steps() {
+			if w, wo := p.Watchdog(), off.Watchdog(); w != nil && (w.Traps() != wo.Traps() || w.Steps() != wo.Steps()) {
 				t.Fatalf("%s: watchdog counted %d traps, %d steps; JIT-off twin %d, %d",
 					tc.name, w.Traps(), w.Steps(), wo.Traps(), wo.Steps())
 			}
 		})
 	}
+}
+
+// guardedSignature is runCellSignature behind the recovery boundary, plus
+// the injection log and the SimError of a run that died. The error's Go
+// stack is left out: replayed and interpreted runs die in different frames.
+func guardedSignature(t *testing.T, p Platform) string {
+	t.Helper()
+	var sig string
+	err := p.Protect(func() { sig = runCellSignature(p) })
+	if inj := p.Injector(); inj != nil {
+		sig += fmt.Sprintf("injected %q\n", inj.Log())
+	}
+	if err != nil {
+		var se *fault.SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("non-SimError failure: %v", err)
+		}
+		se.Stack = ""
+		sig += se.Diagnostic()
+	}
+	return sig
 }

@@ -122,12 +122,15 @@ type CPU struct {
 	Vector Handler
 	IRQ    IRQSink
 
-	// HookExit, when non-nil, observes every VM exit after it is recorded
-	// and before the root-mode handler runs (the fault layer's injector
-	// and trap-storm watchdog); HookTick observes every Tick. Both are nil
-	// in all normal runs, costing the hot path one nil check.
-	HookExit func(c *CPU, e *Exit)
-	HookTick func(c *CPU, n uint64)
+	// Budget, when non-nil, is the fault layer's watchdog or injector (or
+	// both, as one value): every VM exit charges OnTrap after it is
+	// recorded and before the root-mode handler runs, and every Tick
+	// charges its guest steps to OnTick. Nil in all normal runs, costing
+	// the hot path one nil check.
+	Budget interface {
+		OnTrap()
+		OnTick(steps uint64)
+	}
 
 	nonRoot    bool
 	level      int
@@ -377,8 +380,8 @@ func (c *CPU) HasPendingIRQ() bool { return len(c.pendingIRQ) > 0 }
 // Tick charges guest work and is a preemption point.
 func (c *CPU) Tick(n uint64) {
 	c.cycles += n * c.Cost.Insn
-	if c.HookTick != nil {
-		c.HookTick(c, n)
+	if c.Budget != nil {
+		c.Budget.OnTick(n)
 	}
 	for len(c.pendingIRQ) > 0 && c.nonRoot {
 		c.exitE(Exit{Reason: ExitExternalInt, Vector: popFront(&c.pendingIRQ)})
@@ -420,8 +423,8 @@ func (c *CPU) exit(e *Exit) uint64 {
 		ev.Cycle = c.cycles
 		c.Trace.Trap(ev)
 	}
-	if c.HookExit != nil {
-		c.HookExit(c, e)
+	if c.Budget != nil {
+		c.Budget.OnTrap()
 	}
 	if c.Vector == nil {
 		panic("x86: VM exit with no root handler")
